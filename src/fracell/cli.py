@@ -27,6 +27,7 @@ from .grids import (
     DIRICHLET,
     Grid,
     GridFunction,
+    l2_norm,
 )
 from .operators import assemble
 from .spectral import (
@@ -77,13 +78,12 @@ from .io import (
     write_extension_csv,
     write_field_csv,
     write_grid_json,
+    write_kernel_csv,
     write_oracle_csv,
     write_report_json,
 )
 
 COMMANDS = ("solve", "kernel", "extension", "halfline", "probe", "converge")
-
-from .grids import l2_norm
 
 
 class ConfigError(ValueError):
@@ -156,19 +156,28 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _spec_number(key: str, spec: str, arg: str, kind: type):
+    """The numeric argument of a `name:arg` spec, or a ConfigError naming `key`."""
+    try:
+        return kind(arg)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: bad number {arg!r} in spec {spec!r}") from None
+
+
 def coefficient_from_spec(grid: Grid, spec: str) -> CoefficientField:
     name, _, arg = spec.partition(":")
     if name == "identity":
         return CoefficientField.identity(grid)
     if name == "constant":
-        return CoefficientField.constant(grid, float(arg) * np.eye(grid.dim))
+        scale = _spec_number("coeff", spec, arg, float)
+        return CoefficientField.constant(grid, scale * np.eye(grid.dim))
     if name == "diag":
-        vals = [float(v) for v in arg.split(",")]
+        vals = [_spec_number("coeff", spec, v, float) for v in arg.split(",")]
         if grid.dim != len(vals):
             raise ConfigError(f"key 'coeff': diag needs {grid.dim} entries")
         return CoefficientField.constant(grid, np.diag(vals))
     if name == "sine":
-        amp = float(arg) if arg else 0.5
+        amp = _spec_number("coeff", spec, arg, float) if arg else 0.5
         if not -1 < amp < 1:
             raise ConfigError("key 'coeff': sine amplitude must lie in (-1,1)")
         L = grid.extents[0]
@@ -183,7 +192,7 @@ def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, rng) -> GridFunc
     if name == "ones":
         return GridFunction.ones(grid)
     if name == "sine":
-        k = int(arg) if arg else 1
+        k = _spec_number("rhs", spec, arg, int) if arg else 1
         L = grid.extents[0]
         return GridFunction.from_callable(grid, lambda *xs: np.sin(k * np.pi * xs[0] / L))
     if name == "bump":
@@ -199,7 +208,7 @@ def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, rng) -> GridFunc
             vals = vals - vals.mean()
         return GridFunction(grid, vals)
     if name == "spike":
-        p = float(arg) if arg else 3.0
+        p = _spec_number("rhs", spec, arg, float) if arg else 3.0
         center = tuple(e / 2 for e in grid.extents)
         return lp_spike(grid, center, p)
     raise ConfigError(f"key 'rhs': unknown spec {spec!r}")
@@ -345,8 +354,6 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         payload["fit"] = fit.as_dict()
         payload["route_agreement"] = routes
     if cfg.get_bool("write_kernel"):
-        from .io import write_kernel_csv
-
         kernel_obj = K if kind == "jump" else G
         write_kernel_csv(out / f"{kind}_kernel.csv", kernel_obj)
     write_report_json(out / "kernel_fit.json", payload)
@@ -357,12 +364,24 @@ def _optional_float(cfg: RunConfig, key: str):
     return None if cfg.raw(key) is None else cfg.get_float(key)
 
 
+def _extension_errors(op, basis, u: GridFunction, mesh: ExtensionMesh):
+    """Extension of u on `mesh` with the relative error of its DtN map
+    against L^s u and the relative defect of the energy identity."""
+    s = mesh.s
+    U = solve_extension(op, u, mesh)
+    target = fractional_apply(basis, u, s)
+    dtn_err = l2_norm(dtn_extract(U, s) - target) / l2_norm(target)
+    energy_ref = dtn_constant_divform(s) * hs_energy_norm(basis, u, s) ** 2
+    energy_err = abs(extension_energy(U) - energy_ref) / energy_ref
+    return U, dtn_err, energy_err
+
+
 def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(cfg)
     if not bc.is_dirichlet:
         raise ConfigError("key 'bc': extension command drives the Dirichlet problem")
     s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
-    layers = cfg.get_int("layers", 64, lo=4)
+    layers = cfg.get_int("layers", 64, lo=5)  # dtn_extract fits 4 layers below the lid
     basis = eigendecompose(op)
     mesh = ExtensionMesh.build(
         grid,
@@ -376,13 +395,7 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         u = basis.eigenfunction(0)
     else:
         u = rhs_from_spec(grid, "bump", bc, rng)
-    U = solve_extension(op, u, mesh)
-    dtn = dtn_extract(U, s)
-    target = fractional_apply(basis, u, s)
-    dtn_err = l2_norm(dtn - target) / l2_norm(target)
-    energy = extension_energy(U)
-    energy_ref = dtn_constant_divform(s) * hs_energy_norm(basis, u, s) ** 2
-    energy_err = abs(energy - energy_ref) / energy_ref
+    U, dtn_err, energy_err = _extension_errors(op, basis, u, mesh)
     if cfg.get_bool("write_field"):
         write_extension_csv(out / "extension.csv", U)
     assertions = [
@@ -518,7 +531,7 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
 def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
     nodes = cfg.get_int("nodes", 130, lo=9)
-    layers = cfg.get_int("layers", 64, lo=4)
+    layers = cfg.get_int("layers", 64, lo=5)
     levels = cfg.get_int("levels", 3, lo=2)
 
     def one_level(level: int):
@@ -528,14 +541,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         op = assemble(g, CoefficientField.identity(g), DIRICHLET)
         basis = eigendecompose(op)
         mesh = ExtensionMesh.build(g, s, m, lam0=basis.lambda_min_positive)
-        u = basis.eigenfunction(0)
-        U = solve_extension(op, u, mesh)
-        dtn = dtn_extract(U, s)
-        target = fractional_apply(basis, u, s)
-        err = l2_norm(dtn - target) / l2_norm(target)
-        energy_err = abs(
-            extension_energy(U) - dtn_constant_divform(s) * hs_energy_norm(basis, u, s) ** 2
-        ) / (dtn_constant_divform(s) * hs_energy_norm(basis, u, s) ** 2)
+        _, err, energy_err = _extension_errors(op, basis, basis.eigenfunction(0), mesh)
         return err, energy_err
 
     results = _parallel_map(one_level, list(range(levels)))

@@ -33,7 +33,7 @@ from scipy.special import gamma as gamma_fn, kv, kve
 from .grids import Grid, GridFunction, GridError
 from .operators import DiscreteOperator
 from .spectral import EigenBasis
-from .semigroup import SingularQuadrature
+from .semigroup import SingularQuadrature, _mode_poisson
 
 __all__ = [
     "ExtensionMesh",
@@ -446,20 +446,21 @@ def extension_series_eval(
         raise ExtensionError("need y >= 0")
     if not 0.0 < s < 1.0:
         raise ExtensionError(f"s={s} outside (0,1)")
-    c = basis.coefficients(u)
-    if y == 0.0:
-        return basis.synthesize(c)
-    w = np.sqrt(basis.eigenvalues) * y
-    factor = np.ones_like(w)
-    pos = w > 0
-    with np.errstate(under="ignore"):
-        factor[pos] = (
-            (2.0 ** (1.0 - s) / gamma_fn(s))
-            * w[pos] ** s
-            * kve(s, w[pos])
-            * np.exp(-w[pos])
-        )
-    return basis.synthesize(factor * c)
+
+    def bessel_factor(lam):
+        w = np.sqrt(lam) * y
+        factor = np.ones_like(w)
+        pos = w > 0
+        with np.errstate(under="ignore"):
+            factor[pos] = (
+                (2.0 ** (1.0 - s) / gamma_fn(s))
+                * w[pos] ** s
+                * kve(s, w[pos])
+                * np.exp(-w[pos])
+            )
+        return factor
+
+    return basis.apply_fn(bessel_factor, u)
 
 
 def extension_semigroup_eval(
@@ -474,13 +475,7 @@ def extension_semigroup_eval(
     independent quadrature cross-check of the Bessel series."""
     if y <= 0:
         raise ExtensionError("semigroup form needs y > 0")
-    lam = basis.eigenvalues
-    has_kernel = bool(np.any(lam == 0.0))
-    if q is None:
-        q = SingularQuadrature.for_poisson(s, y, basis.lambda_min_positive, has_kernel)
-    E = np.exp(-(y**2) / (4.0 * q.nodes))[:, None] * np.exp(-np.outer(q.nodes, lam))
-    vals = (q.weights @ E) * y ** (2.0 * s) / (4.0**s * gamma_fn(s))
-    return basis.synthesize(vals * basis.coefficients(u))
+    return basis.apply_fn(_mode_poisson(basis, s, y, q), u)
 
 
 # ---------------------------------------------------------------------------

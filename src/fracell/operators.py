@@ -82,41 +82,29 @@ def _stiffness_1d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
     return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
 
 
+def _face_triplets(a: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """COO triplets of the two-node flux stencils w (u_a - u_b)^2, face by
+    face in the order (a,a), (b,b), (a,b), (b,a)."""
+    rows = np.stack([a, b, a, b], axis=1).ravel()
+    cols = np.stack([a, b, b, a], axis=1).ravel()
+    vals = np.stack([w, w, -w, -w], axis=1).ravel()
+    return rows, cols, vals
+
+
 def _stiffness_2d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
     nx, ny = grid.shape
     hx, hy = grid.spacing
     vol = hx * hy
     Ax, Ay = A.faces  # (nx-1, ny, 2, 2), (nx, ny-1, 2, 2)
-
-    def nid(i, j):
-        return i * ny + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+    nid = np.arange(nx * ny).reshape(nx, ny)
 
     # x-face fluxes: vol * A11 * ((u_E - u_W)/hx)^2 per face
-    ii, jj = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
     wx = (vol / hx**2) * Ax[:, :, 0, 0]
-    for i, j, w in zip(ii.ravel(), jj.ravel(), wx.ravel()):
-        a, b = nid(i, j), nid(i + 1, j)
-        add(a, a, w)
-        add(b, b, w)
-        add(a, b, -w)
-        add(b, a, -w)
+    x_faces = _face_triplets(nid[:-1, :].ravel(), nid[1:, :].ravel(), wx.ravel())
 
     # y-face fluxes
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
     wy = (vol / hy**2) * Ay[:, :, 1, 1]
-    for i, j, w in zip(ii.ravel(), jj.ravel(), wy.ravel()):
-        a, b = nid(i, j), nid(i, j + 1)
-        add(a, a, w)
-        add(b, b, w)
-        add(a, b, -w)
-        add(b, a, -w)
+    y_faces = _face_triplets(nid[:, :-1].ravel(), nid[:, 1:].ravel(), wy.ravel())
 
     # cross terms: cell-centered averaged gradients, A12 averaged from the
     # four surrounding face samples.  Element contribution per cell:
@@ -127,22 +115,25 @@ def _stiffness_2d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
         + Ay[:-1, :, 0, 1]
         + Ay[1:, :, 0, 1]
     )
-    if np.any(a12 != 0.0):
-        gx = 0.5 / hx * np.array([-1.0, 1.0, -1.0, 1.0])  # SW SE NW NE order
-        gy = 0.5 / hy * np.array([-1.0, -1.0, 1.0, 1.0])
-        elem = np.outer(gx, gy) + np.outer(gy, gx)  # symmetric cross form
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                c = vol * a12[i, j]
-                if c == 0.0:
-                    continue
-                idx = [nid(i, j), nid(i + 1, j), nid(i, j + 1), nid(i + 1, j + 1)]
-                for p in range(4):
-                    for q in range(4):
-                        v = c * elem[p, q]
-                        if v != 0.0:
-                            add(idx[p], idx[q], v)
+    gx = 0.5 / hx * np.array([-1.0, 1.0, -1.0, 1.0])  # SW SE NW NE order
+    gy = 0.5 / hy * np.array([-1.0, -1.0, 1.0, 1.0])
+    elem = np.outer(gx, gy) + np.outer(gy, gx)  # symmetric cross form
+    corners = np.stack(
+        [nid[:-1, :-1], nid[1:, :-1], nid[:-1, 1:], nid[1:, 1:]], axis=-1
+    ).reshape(-1, 4)
+    # per cell, the 16 entries in row-major order (the triplet order fixes the
+    # order in which tocsr sums duplicates); zero entries (zero A12 or a zero
+    # of the element form) are not stored
+    cell_vals = (vol * a12).reshape(-1, 1, 1) * elem
+    keep = cell_vals != 0.0
+    shape = cell_vals.shape
+    cross = (
+        np.broadcast_to(corners[:, :, None], shape)[keep],
+        np.broadcast_to(corners[:, None, :], shape)[keep],
+        cell_vals[keep],
+    )
 
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(x_faces, y_faces, cross))
     n = nx * ny
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 

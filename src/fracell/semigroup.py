@@ -71,7 +71,6 @@ class SingularQuadrature:
     t_max: float
     nodes: np.ndarray
     weights: np.ndarray
-    substitution: str = "log-uniform"
 
     def __post_init__(self):
         if not (0 < self.t_min < self.t_max):
@@ -190,7 +189,7 @@ def balakrishnan_scalar(lam: float, s: float, q: SingularQuadrature) -> float:
         raise QuadratureError("balakrishnan_scalar needs lambda > 0")
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
-    val = float(np.dot(q.weights, np.expm1(-lam * q.nodes)))
+    val = float(q.integrate(lambda t: np.expm1(-lam * t)))
     return val / gamma_fn(-s)
 
 
@@ -199,8 +198,26 @@ def _mode_balakrishnan(lams: np.ndarray, s: float, q: SingularQuadrature) -> np.
 
     Exact zero eigenvalues map to exactly zero (constant mode).
     """
-    E = np.expm1(-np.outer(q.nodes, lams))
-    return (q.weights @ E) / gamma_fn(-s)
+    return q.integrate(lambda t: np.expm1(-np.outer(t, lams))) / gamma_fn(-s)
+
+
+def _mode_poisson(basis: EigenBasis, s: float, y: float, q: SingularQuadrature | None):
+    """Mode factor lam -> (y^{2s}/(4^s Gamma(s))) int e^{-y^2/(4t)} e^{-t lam} dt/t^{1+s}
+    of the extension Poisson semigroup; the rule defaults to one built for
+    the spectrum of `basis`."""
+    if q is None:
+        has_kernel = bool(np.any(basis.eigenvalues == 0.0))
+        q = SingularQuadrature.for_poisson(s, y, basis.lambda_min_positive, has_kernel)
+    if q.exponent != s:
+        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
+
+    def factor(lam):
+        vals = q.integrate(
+            lambda t: np.exp(-(y**2) / (4.0 * t))[:, None] * np.exp(-np.outer(t, lam))
+        )
+        return vals * y ** (2 * s) / (4.0**s * gamma_fn(s))
+
+    return factor
 
 
 def heat_apply(basis: EigenBasis, u: GridFunction, t: float) -> GridFunction:
@@ -209,8 +226,7 @@ def heat_apply(basis: EigenBasis, u: GridFunction, t: float) -> GridFunction:
         raise ValueError(f"heat semigroup needs t >= 0, got {t}")
     if t == 0.0:
         return GridFunction(u.grid, u.values.copy())
-    c = basis.coefficients(u)
-    return basis.synthesize(np.exp(-t * basis.eigenvalues) * c)
+    return basis.apply_fn(lambda lam: np.exp(-t * lam), u)
 
 
 def heat_apply_stepped(
@@ -264,12 +280,7 @@ def balakrishnan_apply(
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
     if isinstance(source, EigenBasis):
-        basis = source
-        c = basis.coefficients(u)
-        if not basis.bc.is_dirichlet:
-            c = c * (basis.eigenvalues > 0)
-        vals = _mode_balakrishnan(basis.eigenvalues, s, q)
-        return basis.synthesize(vals * c)
+        return source.apply_fn(lambda lam: _mode_balakrishnan(lam, s, q), u)
     op: DiscreteOperator = source
     vec = op.restrict(u)
     acc = np.zeros_like(vec)
@@ -343,15 +354,11 @@ class KernelMatrix:
         return dist[keep], vals[keep]
 
 
-def _congruence(basis: EigenBasis, mode_values: np.ndarray) -> np.ndarray:
-    return (basis.vectors * mode_values[None, :]) @ basis.vectors.T
-
-
 def heat_kernel(basis: EigenBasis, t: float) -> KernelMatrix:
     """Heat kernel density W_t = sum_k e^{-t lam_k} phi_k(x) phi_k(z)."""
     if t <= 0:
         raise ValueError(f"heat kernel needs t > 0, got {t}")
-    W = _congruence(basis, np.exp(-t * basis.eigenvalues))
+    W = basis.kernel(lambda lam: np.exp(-t * lam))
     return KernelMatrix(basis, "heat", W, {"t": t})
 
 
@@ -366,9 +373,10 @@ def jump_kernel(basis: EigenBasis, s: float, q: SingularQuadrature) -> KernelMat
     """
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
-    vals = _mode_balakrishnan(basis.eigenvalues, s, q)  # ~ lam^s / Gamma(-s) signs folded
     # int (W_t - completeness) dt/t^{1+s} = Phi diag(Gamma(-s) lam^s) Phi^T
-    K = _congruence(basis, gamma_fn(-s) * vals) / (2.0 * abs(gamma_fn(-s)))
+    K = basis.kernel(lambda lam: gamma_fn(-s) * _mode_balakrishnan(lam, s, q)) / (
+        2.0 * abs(gamma_fn(-s))
+    )
     np.fill_diagonal(K, 0.0)
     kind = "jump" if basis.bc.is_dirichlet else "jump_neumann"
     return KernelMatrix(basis, kind, K, {"s": s})
@@ -400,11 +408,8 @@ def killing_term(basis: EigenBasis, s: float, q: SingularQuadrature) -> KillingF
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
     ones = GridFunction.ones(basis.grid)
-    c = basis.coefficients(ones)
-    if not basis.bc.is_dirichlet:
-        c = c * (basis.eigenvalues > 0)
-    vals = _mode_balakrishnan(basis.eigenvalues, s, q)  # = lam^s with sign folded
-    return KillingField(basis, s, basis.synthesize(vals * c))
+    B = basis.apply_fn(lambda lam: _mode_balakrishnan(lam, s, q), ones)
+    return KillingField(basis, s, B)
 
 
 def nonlocal_bilinear_form(
@@ -440,7 +445,7 @@ def greens_function(basis: EigenBasis, s: float) -> KernelMatrix:
     lam = basis.eigenvalues
     if np.any(lam <= 0):
         raise ValueError("Green function requires a strictly positive spectrum")
-    G = _congruence(basis, lam ** (-s))
+    G = basis.kernel(lambda lam: lam ** (-s))
     return KernelMatrix(basis, "greens", G, {"s": s})
 
 
@@ -456,9 +461,9 @@ def greens_function_quadrature(
         q = SingularQuadrature.for_inverse(s, float(lam.min()), float(lam.max()))
     if q.exponent != -s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match -s={-s}")
-    E = np.exp(-np.outer(q.nodes, lam))
-    vals = (q.weights @ E) / gamma_fn(s)
-    G = _congruence(basis, vals)
+    G = basis.kernel(
+        lambda lam: q.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)
+    )
     return KernelMatrix(basis, "greens_quadrature", G, {"s": s})
 
 
@@ -469,17 +474,7 @@ def poisson_kernel(
     P_y^s = (y^{2s} / (4^s Gamma(s))) int e^{-y^2/(4t)} W_t dt/t^{1+s}."""
     if y <= 0:
         raise ValueError(f"Poisson kernel needs y > 0, got {y}")
-    lam = basis.eigenvalues
-    has_kernel = bool(np.any(lam == 0.0))
-    if q is None:
-        q = SingularQuadrature.for_poisson(
-            s, y, basis.lambda_min_positive, has_kernel
-        )
-    if q.exponent != s:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
-    E = np.exp(-(y**2) / (4.0 * q.nodes))[:, None] * np.exp(-np.outer(q.nodes, lam))
-    vals = (q.weights @ E) * y ** (2 * s) / (4.0**s * gamma_fn(s))
-    P = _congruence(basis, vals)
+    P = basis.kernel(_mode_poisson(basis, s, y, q))
     return KernelMatrix(basis, "poisson", P, {"s": s, "y": y})
 
 

@@ -78,6 +78,18 @@ class EigenBasis:
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
         return GridFunction.embed(self.grid, self.active_mask, self.vectors @ coeffs)
 
+    def apply_fn(self, g, u: GridFunction) -> GridFunction:
+        """g(L) u = sum_k g(lambda_k) u_k phi_k.
+
+        `g` maps the eigenvalue array to the mode factors.  Its value at an
+        exact zero eigenvalue (the Neumann constant mode) is used as given.
+        """
+        return self.synthesize(g(self.eigenvalues) * self.coefficients(u))
+
+    def kernel(self, g) -> np.ndarray:
+        """Kernel density of g(L): sum_k g(lambda_k) phi_k(x) phi_k(z)."""
+        return (self.vectors * g(self.eigenvalues)[None, :]) @ self.vectors.T
+
     def residual(self, op: DiscreteOperator) -> float:
         """max_k ||M phi_k - lambda_k phi_k||_2 over the active nodes."""
         R = op.matrix @ self.vectors - self.vectors * self.eigenvalues[None, :]
@@ -155,23 +167,14 @@ def _check_power(s: float, include_one: bool) -> None:
         raise SpectralError(f"fractional power s={s} outside {rng}")
 
 
-def _drop_kernel_mode(basis: EigenBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Remove the constant mode for Neumann (mean removal)."""
-    if not basis.bc.is_dirichlet:
-        coeffs = coeffs.copy()
-        coeffs[basis.eigenvalues == 0.0] = 0.0
-    return coeffs
-
-
 def fractional_apply(basis: EigenBasis, u: GridFunction, s: float) -> GridFunction:
     """L^s u = sum lambda_k^s u_k phi_k.  Admits s=1 as a consistency hook.
 
-    For Neumann the mean (kernel mode) is removed first; it contributes
-    nothing since the zero eigenvalue annihilates it.
+    For Neumann the mean (kernel mode) contributes nothing since the zero
+    eigenvalue annihilates it.
     """
     _check_power(s, include_one=True)
-    c = _drop_kernel_mode(basis, basis.coefficients(u))
-    return basis.synthesize(basis.eigenvalues**s * c)
+    return basis.apply_fn(lambda lam: lam**s, u)
 
 
 def fractional_solve(basis: EigenBasis, f: GridFunction, s: float,
@@ -179,7 +182,8 @@ def fractional_solve(basis: EigenBasis, f: GridFunction, s: float,
     """Solve L^s u = f through the eigenexpansion: u = sum lambda_k^{-s} f_k phi_k.
 
     Neumann data must be compatible (zero mean up to `mean_rtol` relative to
-    the RMS of f); the solution is returned with zero mean.
+    the RMS of f); the solution is returned with zero mean (pseudo-inverse:
+    the kernel mode gets the factor 0).
     """
     _check_power(s, include_one=True)
     vec = f.restrict(basis.active_mask)
@@ -191,20 +195,22 @@ def fractional_solve(basis: EigenBasis, f: GridFunction, s: float,
                 f"Neumann datum has nonzero mean {mean:.3e} (rms {rms:.3e}); "
                 "solvability requires a mean-free right hand side"
             )
-    c = _drop_kernel_mode(basis, basis.coefficients(f))
-    pos = basis.eigenvalues > 0
-    inv = np.zeros_like(c)
-    inv[pos] = basis.eigenvalues[pos] ** (-s) * c[pos]
-    return basis.synthesize(inv)
+
+    def inverse_power(lam):
+        inv = np.zeros_like(lam)
+        pos = lam > 0
+        inv[pos] = lam[pos] ** (-s)
+        return inv
+
+    return basis.apply_fn(inverse_power, f)
 
 
 def hs_energy_norm(basis: EigenBasis, u: GridFunction, s: float) -> float:
     """Spectral H^s energy norm: sqrt( sum lambda_k^s u_k^2 ) = ||L^{s/2} u||_L2."""
     if not 0.0 < s < 1.0:
         raise SpectralError(f"s must lie in (0,1), got {s}")
-    c = _drop_kernel_mode(basis, basis.coefficients(u))
-    pos = basis.eigenvalues > 0
-    return math.sqrt(float(np.sum(basis.eigenvalues[pos] ** s * c[pos] ** 2)))
+    c = basis.coefficients(u)
+    return math.sqrt(float(np.sum(basis.eigenvalues**s * c**2)))
 
 
 def fractional_solve_sine(grid: Grid, f: GridFunction, s: float) -> GridFunction:

@@ -104,3 +104,22 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["solve", "--nodes=9", "--coeff=sine:abc"], "coeff"),
+        (["solve", "--nodes=9", "--coeff=constant:"], "coeff"),
+        (["solve", "--nodes=9", "--dim=2", "--coeff=diag:1,x"], "coeff"),
+        (["solve", "--nodes=9", "--rhs=sine:x"], "rhs"),
+        (["solve", "--nodes=9", "--rhs=spike:x"], "rhs"),
+        (["extension", "--nodes=34", "--layers=4"], "layers"),
+        (["converge", "--nodes=9", "--layers=4", "--levels=2"], "layers"),
+    ],
+)
+def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):
+    assert main([*args, f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert repr(key) in err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fracell import (
@@ -13,6 +14,7 @@ from fracell import (
     assemble,
 )
 from fracell.grids import GridError
+from fracell.operators import _stiffness_2d
 
 
 def test_unit_interval_stencil():
@@ -119,3 +121,89 @@ def test_assembly_rejects_small_grid_and_bad_coefficient():
     with pytest.raises(GridError):
         CoefficientField.from_callable(g, lambda x: x - 0.5)  # not positive
         # sampled extremes include negatives -> lambda1 <= 0
+
+
+def _rotated_field(grid, theta0=0.4, ratio=0.3):
+    """A = R(theta) diag(1, ratio) R(theta)^T with a position-dependent angle."""
+
+    def fn(x, y):
+        th = theta0 + 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+        c, s = np.cos(th), np.sin(th)
+        a = np.empty(x.shape + (2, 2))
+        a[..., 0, 0] = c * c + ratio * s * s
+        a[..., 1, 1] = s * s + ratio * c * c
+        a[..., 0, 1] = a[..., 1, 0] = (1.0 - ratio) * c * s
+        return a
+
+    return CoefficientField.from_callable(grid, fn)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 1.0), (0.7, -1.3)])
+def test_cross_term_energy_of_linear_field(a, b):
+    # u = a x + b y has the same difference quotients on every face and the
+    # same averaged gradient (a, b) in every cell, so its discrete energy is
+    # a closed-form sum over the sampled coefficients.
+    g = Grid((1.0, 2.0), (9, 13))
+    A = _rotated_field(g)
+    op = assemble(g, A, NEUMANN)
+    x, y = g.coords()
+    u = (a * x + b * y).ravel()
+    vol = g.cell_volume
+    Ax, Ay = A.faces
+    a12 = 0.25 * (Ax[:, :-1, 0, 1] + Ax[:, 1:, 0, 1] + Ay[:-1, :, 0, 1] + Ay[1:, :, 0, 1])
+    expected = (
+        vol * Ax[:, :, 0, 0].sum() * a**2
+        + vol * Ay[:, :, 1, 1].sum() * b**2
+        + 2.0 * vol * a12.sum() * a * b
+    )
+    energy = vol * (u @ (op.matrix @ u))
+    assert energy == pytest.approx(expected, rel=1e-12)
+
+
+def _stiffness_2d_loops(grid, A):
+    """Face-by-face and cell-by-cell reference assembly of the 2D stiffness."""
+    nx, ny = grid.shape
+    hx, hy = grid.spacing
+    vol = hx * hy
+    Ax, Ay = A.faces
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    for (i, j), w in np.ndenumerate((vol / hx**2) * Ax[:, :, 0, 0]):
+        a, b = i * ny + j, (i + 1) * ny + j
+        for r, c, v in ((a, a, w), (b, b, w), (a, b, -w), (b, a, -w)):
+            add(r, c, v)
+    for (i, j), w in np.ndenumerate((vol / hy**2) * Ay[:, :, 1, 1]):
+        a, b = i * ny + j, i * ny + j + 1
+        for r, c, v in ((a, a, w), (b, b, w), (a, b, -w), (b, a, -w)):
+            add(r, c, v)
+    a12 = 0.25 * (Ax[:, :-1, 0, 1] + Ax[:, 1:, 0, 1] + Ay[:-1, :, 0, 1] + Ay[1:, :, 0, 1])
+    gx = 0.5 / hx * np.array([-1.0, 1.0, -1.0, 1.0])
+    gy = 0.5 / hy * np.array([-1.0, -1.0, 1.0, 1.0])
+    elem = np.outer(gx, gy) + np.outer(gy, gx)
+    for (i, j), a in np.ndenumerate(a12):
+        c = vol * a
+        if c == 0.0:
+            continue
+        idx = [i * ny + j, (i + 1) * ny + j, i * ny + j + 1, (i + 1) * ny + j + 1]
+        for p in range(4):
+            for q in range(4):
+                if c * elem[p, q] != 0.0:
+                    add(idx[p], idx[q], c * elem[p, q])
+    n = nx * ny
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("field", ["identity", "rotated"])
+def test_stiffness_2d_matches_loop_reference(field):
+    # same COO triplet sequence, so the CSR arrays agree bit for bit
+    g = Grid((1.0, 2.0), (9, 13))
+    A = CoefficientField.identity(g) if field == "identity" else _rotated_field(g)
+    got = _stiffness_2d(g, A)
+    ref = _stiffness_2d_loops(g, A)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))

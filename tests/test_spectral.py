@@ -12,6 +12,7 @@ from fracell import (
     fractional_apply,
     fractional_solve,
     fractional_solve_sine,
+    heat_apply,
     hs_energy_norm,
     hs_seminorm,
     l2_inner,
@@ -194,3 +195,24 @@ def test_sine_fast_path_matches_eigen_route(grid_1d, basis_dirichlet):
     u_sine = fractional_solve_sine(g, f, 0.6)
     u_eig = fractional_solve(basis_dirichlet, f, 0.6)
     assert l2_norm(u_sine - u_eig) <= 1e-3 * l2_norm(u_eig)
+
+
+@pytest.mark.parametrize("which", ["basis_dirichlet", "basis_neumann"])
+def test_apply_fn_and_kernel_identity(which, request, rng):
+    basis = request.getfixturevalue(which)
+    u = GridFunction.embed(basis.grid, basis.active_mask, rng.standard_normal(basis.size))
+    got = basis.apply_fn(np.ones_like, u)
+    assert np.abs(got.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
+    ident = basis.weight * basis.kernel(np.ones_like)
+    assert np.abs(ident - np.eye(basis.size)).max() <= 1e-12
+
+
+def test_neumann_kernel_mode_policy(basis_neumann, grid_1d, rng):
+    # pseudo-inverse drops the constant mode; the heat factor e^0 = 1 keeps it
+    vals = rng.standard_normal(grid_1d.shape)
+    f = GridFunction(grid_1d, vals - vals.mean())
+    u = fractional_solve(basis_neumann, f, 0.5)
+    assert abs(u.values.mean()) <= 1e-12 * np.abs(u.values).max()
+    w = GridFunction(grid_1d, vals + 2.0)
+    heated = heat_apply(basis_neumann, w, 0.1)
+    assert heated.values.mean() == pytest.approx(w.values.mean(), rel=1e-12)
