@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""sha256 of every file the benchmark's CLI cases write.
+
+Runs, one after another, every CLI case of the three benchmark workloads
+(the case lists of `perfbench/workloads.py`, for the given seed) from the
+source tree this script sits in, and prints one `sha256  workload/case/file`
+line per written file.  Two trees write the same bytes when
+
+    python3 scripts/report_digests.py --seed 0 > a.txt   # in tree A
+    python3 scripts/report_digests.py --seed 0 > b.txt   # in tree B
+    diff a.txt b.txt
+
+prints nothing.  The largest case (`converge levels=4`, up to 1025x512)
+needs about 1.1 GB of memory.
+"""
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402  (perfbench/workloads.py)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    seed = parser.parse_args().seed
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads.WORKLOADS:
+            for case in workloads.cases(workload, seed):
+                if "command" not in case.data:  # an API case writes no files
+                    continue
+                out = Path(tmp, workload, workloads._slug(case.name))
+                case.fn(case.data, out)
+                for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{digest}  {workload}/{case.name}/{path.relative_to(out)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

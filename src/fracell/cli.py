@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,6 +111,8 @@ class RunConfig:
             x = float(val)
         except (TypeError, ValueError):
             raise ConfigError(f"key {key!r}: not a number: {val!r}") from None
+        if not math.isfinite(x):
+            raise ConfigError(f"key {key!r}: not a finite number: {val!r}")
         if lo is not None and x < lo or hi is not None and x > hi:
             raise ConfigError(f"key {key!r}: value {x} outside [{lo}, {hi}]")
         return x
@@ -272,20 +275,8 @@ def _cmd_solve(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     try:
         u = fractional_solve(basis, f, s)
     except CompatibilityError as exc:
-        return (
-            [
-                {
-                    "name": "solve_compatible_datum",
-                    "value": math.inf,
-                    "target": 0.0,
-                    "tolerance": 0.0,
-                    "mode": "le",
-                    "pass": False,
-                    "detail": str(exc),
-                }
-            ],
-            {"error": str(exc)},
-        )
+        failed = {**_assertion("solve_compatible_datum", math.inf, 0.0, 0.0), "detail": str(exc)}
+        return [failed], {"error": str(exc)}
     back = fractional_apply(basis, u, s)
     # compare on the active nodes: the Dirichlet representation of f drops
     # boundary samples, the Neumann one its mean
@@ -312,6 +303,13 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(cfg)
     s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
     kind = cfg.get_choice("kind", ("jump", "greens"), "jump")
+    if kind == "greens" and not bc.is_dirichlet:
+        raise ConfigError("key 'bc': the Green function needs bc=dirichlet (a Neumann spectrum has a zero mode)")
+    window = {
+        "r_min": _optional_float(cfg, "fit_rmin"),
+        "r_max": _optional_float(cfg, "fit_rmax"),
+        "interior_margin": _optional_float(cfg, "margin"),
+    }
     basis = eigendecompose(op)
     n = grid.dim
     assertions = []
@@ -319,12 +317,8 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     if kind == "jump":
         q = SingularQuadrature.for_spectrum(s, basis.lambda_min_positive, basis.lambda_max)
         K = jump_kernel(basis, s, q)
-        fit = kernel_slope_fit(
-            K,
-            r_min=_optional_float(cfg, "fit_rmin"),
-            r_max=_optional_float(cfg, "fit_rmax"),
-            interior_margin=_optional_float(cfg, "margin"),
-        )
+        with _fit_needs_nodes():
+            fit = kernel_slope_fit(K, **window)
         target = -(n + 2 * s)
         tol = cfg.get_float("slope_tol", 0.15, lo=0.0)
         assertions.append(_assertion("jump_kernel_slope", fit.slope, target, tol, "abs"))
@@ -339,15 +333,12 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         assertions.append(_assertion("greens_route_agreement", routes, 0.0, 1e-6))
         assertions.append(_assertion("greens_symmetry", G.symmetry_defect(), 0.0, 1e-10))
         if n == 2 * s:  # 1D, s = 1/2: logarithmic regime
-            fit = kernel_log_fit(G)
+            with _fit_needs_nodes():
+                fit = kernel_log_fit(G)
             assertions.append(_assertion("greens_log_r2", -fit.r2, -0.99, 0.0))
         else:
-            fit = kernel_slope_fit(
-                G,
-                r_min=_optional_float(cfg, "fit_rmin"),
-                r_max=_optional_float(cfg, "fit_rmax"),
-                interior_margin=_optional_float(cfg, "margin"),
-            )
+            with _fit_needs_nodes():
+                fit = kernel_slope_fit(G, **window)
             target = -(n - 2 * s)
             tol = cfg.get_float("slope_tol", 0.1, lo=0.0)
             assertions.append(_assertion("greens_slope", fit.slope, target, tol, "abs"))
@@ -362,6 +353,18 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
 
 def _optional_float(cfg: RunConfig, key: str):
     return None if cfg.raw(key) is None else cfg.get_float(key)
+
+
+@contextmanager
+def _fit_needs_nodes():
+    """A fit with too few grid points in its window is a config error on 'nodes'.
+
+    Parse every config key before entering: a ConfigError is itself a
+    ValueError and would be relabelled here."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"key 'nodes': too few grid points in the fit window: {exc}") from None
 
 
 def _extension_errors(op, basis, u: GridFunction, mesh: ExtensionMesh):
@@ -418,37 +421,24 @@ def _cmd_halfline(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     assertions = []
     payload = {"s": s}
     if s < 0.5:
-        problem = HalfLineProblem(s, RHS_ONE, truncation=T)
-        xs = np.geomspace(1e-3, 1e-1, 12)
-        vals = halfline_inverse_quadrature(problem, xs)
-        cf = closed_form_halfline(problem, xs)
+        rhs, xs = RHS_ONE, np.geomspace(1e-3, 1e-1, 12)
+    else:
+        rhs, xs = RHS_INDICATOR, np.linspace(0.05, 0.45, 9)
+    problem = HalfLineProblem(s, rhs, truncation=T)
+    vals = halfline_inverse_quadrature(problem, xs)
+    cf = closed_form_halfline(problem, xs)
+    if s < 0.5:
         slope = float(np.polyfit(np.log(xs), np.log(vals), 1)[0])
         assertions.append(_assertion("halfline_growth_slope", slope, 2 * s, 1e-3, "abs"))
         payload["slope"] = slope
     elif s == 0.5:
-        problem = HalfLineProblem(s, RHS_INDICATOR, truncation=T)
-        xs = np.linspace(0.05, 0.45, 9)
-        vals = halfline_inverse_quadrature(problem, xs)
-        cf = closed_form_halfline(problem, xs)
         c_fit = float(np.dot(vals, cf) / np.dot(cf, cf))
         resid = float(np.abs(vals - c_fit * cf).max() / np.abs(vals).max())
         c_oracle = interior_log_constant(numeric=True)
         assertions.append(_assertion("halfline_log_residual", resid, 0.0, 1e-6))
-        assertions.append(
-            _assertion(
-                "log_constant_oracle",
-                c_oracle,
-                3.0 * math.log(3.0),
-                1e-8,
-                "abs",
-            )
-        )
+        assertions.append(_assertion("log_constant_oracle", c_oracle, 3.0 * math.log(3.0), 1e-8, "abs"))
         payload.update({"fitted_constant": c_fit, "residual": resid})
     else:
-        problem = HalfLineProblem(s, RHS_INDICATOR, truncation=T)
-        xs = np.linspace(0.05, 0.45, 9)
-        vals = halfline_inverse_quadrature(problem, xs)
-        cf = closed_form_halfline(problem, xs)
         ratio = vals / cf
         spread = float((ratio.max() - ratio.min()) / abs(ratio.mean()))
         assertions.append(_assertion("halfline_ratio_constancy", spread, 0.0, 1e-6))
@@ -481,14 +471,16 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
             alpha = 0.0
         u = fractional_solve_sine(grid, f, s)
         radii = dyadic_radii(grid, r_max=cfg.get_float("r_max", 0.03125), floor_cells=30.0)
-        probe = CampanatoProbe((0.5,), tuple(radii), alpha=alpha, mode=mode)
-        fit = interior_exponent(u, probe)
+        with _fit_needs_nodes():
+            fit = interior_exponent(u, CampanatoProbe((0.5,), tuple(radii), alpha=alpha, mode=mode))
         tol = cfg.get_float("tol", 0.1)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
         report.update({"x0": [0.5], "fit": fit.as_dict(), "target": target, "tolerance": tol})
     elif which == "boundary":
         u = fractional_solve_sine(grid, GridFunction.ones(grid), s)
-        fit = boundary_exponent(u, (0.0,), d_min=30 * h, d_max=cfg.get_float("d_max", 0.01))
+        d_max = cfg.get_float("d_max", 0.01)
+        with _fit_needs_nodes():
+            fit = boundary_exponent(u, (0.0,), d_min=30 * h, d_max=d_max)
         target = min(2 * s, 1.0)
         tol = cfg.get_float("tol", 0.05)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
@@ -496,12 +488,11 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     elif which == "layer":
         f = GridFunction.ones(grid)
         u = fractional_solve_sine(grid, f, s)
-        fit_u = boundary_exponent(u, (0.0,), 30 * h, 0.01)
         growth = min(2 * s, 1.0)
-        v = dirichlet_layer_split(
-            u, f, s, lambda d: d**growth, (0.0,), (30 * h, 0.005)
-        )
-        fit_v = boundary_exponent(v, (0.0,), 30 * h, 0.01)
+        with _fit_needs_nodes():
+            fit_u = boundary_exponent(u, (0.0,), 30 * h, 0.01)
+            v = dirichlet_layer_split(u, f, s, lambda d: d**growth, (0.0,), (30 * h, 0.005))
+            fit_v = boundary_exponent(v, (0.0,), 30 * h, 0.01)
         gain = fit_v.exponent - fit_u.exponent
         assertions.append(_assertion("layer_split_improvement", -gain, 0.0, 0.0))
         report.update(

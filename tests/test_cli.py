@@ -116,6 +116,17 @@ def test_console_entry_point(tmp_path):
         (["solve", "--nodes=9", "--rhs=spike:x"], "rhs"),
         (["extension", "--nodes=34", "--layers=4"], "layers"),
         (["converge", "--nodes=9", "--layers=4", "--levels=2"], "layers"),
+        (["solve", "--nodes=nan"], "nodes"),
+        (["solve", "--nodes=inf"], "nodes"),
+        (["solve", "--nodes=1e400"], "nodes"),
+        (["solve", "--nodes=9", "--s=nan"], "s"),
+        (["solve", "--nodes=9", "--extent=inf"], "extent"),
+        (["kernel", "--nodes=5"], "nodes"),
+        (["kernel", "--kind=greens", "--nodes=9"], "nodes"),
+        (["kernel", "--kind=greens", "--nodes=9", "--bc=neumann"], "bc"),
+        (["probe", "--probe=interior", "--nodes=9"], "nodes"),
+        (["probe", "--probe=boundary", "--nodes=9"], "nodes"),
+        (["probe", "--probe=layer", "--nodes=9"], "nodes"),
     ],
 )
 def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):

@@ -25,6 +25,7 @@ from fracell import (
 )
 from fracell.extension import (
     ExtensionError,
+    _base_stiffness,
     caccioppoli_check,
     dtn_constant_divform,
     dtn_constant_intro,
@@ -290,6 +291,54 @@ def test_forcing_rejects_nonzero_vertical_component(setup_half):
     g, op, basis, mesh = setup_half
     with pytest.raises(ExtensionError):
         ForcingData(None, GridFunction.zeros(g), vertical=np.ones(3))
+
+
+def _small_cylinder(shape):
+    g = Grid((1.0,) * len(shape), shape)
+    op = assemble(g, CoefficientField.identity(g), DIRICHLET)
+    return g, op, ExtensionMesh.build(g, 0.4, 8, height=3.0)
+
+
+def test_forced_solve_satisfies_dense_cylinder_system():
+    # rows 0..M-1 of  V_j K u_j + vol (T u)_j = V_j (F_{i-1/2} - F_{i+1/2}) + [j=0] vol f,
+    # the weak form assembled densely here; the trace row is free and the
+    # lid row M is held at zero
+    g, op, mesh = _small_cylinder((17,))
+    M, n, vol, mask = mesh.layers, op.size, g.cell_volume, op.active_mask
+    x = g.axis_coords(0)
+    fx = np.cos(3.0 * 0.5 * (x[:-1] + x[1:]))[:, None] * (1.0 + mesh.y_nodes)[None, :]
+    f = GridFunction.from_callable(g, lambda x: np.sin(np.pi * x) + x)
+    U = solve_extension_forced(op, mesh, ForcingData((fx,), f))
+
+    K = _base_stiffness(op).toarray()
+    V = mesh.node_weights()
+    kap = np.concatenate([[0.0], mesh.face_kappa()])  # kap[j] couples rows j-1, j
+    eye = np.eye(n)
+    A = np.zeros((M * n, M * n))
+    b = np.zeros(M * n)
+    for j in range(M):
+        rows = slice(j * n, (j + 1) * n)
+        A[rows, rows] = V[j] * K + vol * (kap[j] + kap[j + 1]) * eye
+        if j > 0:
+            A[rows, (j - 1) * n : j * n] = -vol * kap[j] * eye
+        if j < M - 1:
+            A[rows, (j + 1) * n : (j + 2) * n] = -vol * kap[j + 1] * eye
+        flux = np.concatenate([[0.0], fx[:, j], [0.0]])  # flux[i] = F_{i-1/2}
+        b[rows] = V[j] * (flux[:-1] - flux[1:])[mask]
+    b[:n] += vol * f.values[mask]
+    u = U.values[:M][:, mask].ravel()
+    assert np.linalg.norm(A @ u - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.abs(U.values[M]).max() == 0.0
+
+
+def test_forcing_field_shape_and_base_dimension_are_checked():
+    g, op, mesh = _small_cylinder((17,))
+    with pytest.raises(ExtensionError, match="shape"):
+        solve_extension_forced(op, mesh, ForcingData((np.ones((16, 8)),), None))
+    g2, op2, mesh2 = _small_cylinder((9, 9))
+    fields = (np.ones((8, 9, 9)), np.ones((9, 8, 9)))
+    with pytest.raises(ExtensionError, match="1D"):
+        solve_extension_forced(op2, mesh2, ForcingData(fields, None))
 
 
 def _eta_factory(mesh):
