@@ -10,8 +10,8 @@ line per written file.  Two trees write the same bytes when
     python3 scripts/report_digests.py --seed 0 > b.txt   # in tree B
     diff a.txt b.txt
 
-prints nothing.  The largest case (`converge levels=4`, up to 1025x512)
-needs about 1.1 GB of memory.
+prints nothing.  A full run peaks at about 270 MiB of resident memory
+(set by the dense 2D eigendecompositions of the dense_spectral cases).
 """
 
 import argparse

@@ -48,6 +48,7 @@ from .semigroup import (
     kernel_slope_fit,
 )
 from .extension import (
+    ExtensionError,
     ExtensionMesh,
     dtn_constant_divform,
     dtn_extract,
@@ -222,7 +223,7 @@ def _build_problem(cfg: RunConfig):
     if dim not in (1, 2):
         raise ConfigError("key 'dim': must be 1 or 2")
     nodes = cfg.get_int("nodes", 130, lo=3)
-    extent = cfg.get_float("extent", 1.0, lo=1e-12)
+    extent = cfg.get_float("extent", 1.0, lo=1e-12, hi=1e12)  # 1/h^2 must not underflow
     grid = Grid((extent,) * dim, (nodes,) * dim)
     bc = BoundaryCondition(cfg.get_choice("bc", ("dirichlet", "neumann"), "dirichlet"))
     A = coefficient_from_spec(grid, cfg.raw("coeff", "identity"))
@@ -367,6 +368,16 @@ def _fit_needs_nodes():
         raise ConfigError(f"key 'nodes': too few grid points in the fit window: {exc}") from None
 
 
+def _extension_mesh(grid, s, layers, lam0, gamma=None) -> ExtensionMesh:
+    """The graded cylinder mesh.  A grading the y-nodes cannot hold (gamma < 1,
+    or y_1 underflowing) is a config error on 'gamma', or on 's' when the
+    default grading max(3, 1/s) is used."""
+    try:
+        return ExtensionMesh.build(grid, s, layers, gamma_mesh=gamma, lam0=lam0)
+    except ExtensionError as exc:
+        raise ConfigError(f"key {'s' if gamma is None else 'gamma'!r}: {exc}") from None
+
+
 def _extension_errors(op, basis, u: GridFunction, mesh: ExtensionMesh):
     """Extension of u on `mesh` with the relative error of its DtN map
     against L^s u and the relative defect of the energy identity."""
@@ -385,14 +396,9 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         raise ConfigError("key 'bc': extension command drives the Dirichlet problem")
     s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
     layers = cfg.get_int("layers", 64, lo=5)  # dtn_extract fits 4 layers below the lid
+    gamma = _optional_float(cfg, "gamma")
     basis = eigendecompose(op)
-    mesh = ExtensionMesh.build(
-        grid,
-        s,
-        layers,
-        gamma_mesh=_optional_float(cfg, "gamma"),
-        lam0=basis.lambda_min_positive,
-    )
+    mesh = _extension_mesh(grid, s, layers, basis.lambda_min_positive, gamma)
     which = cfg.get_choice("u", ("phi1", "bump"), "phi1")
     if which == "phi1":
         u = basis.eigenfunction(0)
@@ -531,7 +537,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         g = Grid((1.0,), (n,))
         op = assemble(g, CoefficientField.identity(g), DIRICHLET)
         basis = eigendecompose(op)
-        mesh = ExtensionMesh.build(g, s, m, lam0=basis.lambda_min_positive)
+        mesh = _extension_mesh(g, s, m, basis.lambda_min_positive)
         _, err, energy_err = _extension_errors(op, basis, basis.eigenfunction(0), mesh)
         return err, energy_err
 

@@ -127,6 +127,11 @@ def test_console_entry_point(tmp_path):
         (["probe", "--probe=interior", "--nodes=9"], "nodes"),
         (["probe", "--probe=boundary", "--nodes=9"], "nodes"),
         (["probe", "--probe=layer", "--nodes=9"], "nodes"),
+        (["extension", "--nodes=9", "--gamma=0.5"], "gamma"),
+        (["extension", "--nodes=9", "--gamma=1e6"], "gamma"),
+        (["extension", "--nodes=9", "--layers=8", "--s=1e-9"], "s"),
+        (["converge", "--nodes=9", "--layers=8", "--levels=2", "--s=1e-9"], "s"),
+        (["solve", "--nodes=9", "--extent=1e300"], "extent"),
     ],
 )
 def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):

@@ -11,6 +11,7 @@ from fracell import (
     ForcingData,
     Grid,
     GridFunction,
+    NEUMANN,
     assemble,
     bessel_k,
     dtn_extract,
@@ -339,6 +340,84 @@ def test_forcing_field_shape_and_base_dimension_are_checked():
     fields = (np.ones((8, 9, 9)), np.ones((9, 8, 9)))
     with pytest.raises(ExtensionError, match="1D"):
         solve_extension_forced(op2, mesh2, ForcingData(fields, None))
+
+
+def _dense_cylinder(op, mesh, first):
+    """kron(D, K) + kron(T, I) on the rows first..M-1, and the full T."""
+    K = _base_stiffness(op).toarray()
+    M, kap = mesh.layers, mesh.face_kappa()
+    T = op.grid.cell_volume * (
+        np.diag(np.r_[kap, 0.0] + np.r_[0.0, kap]) - np.diag(kap, 1) - np.diag(kap, -1)
+    )
+    D = np.diag(mesh.node_weights()[first:M])
+    return np.kron(D, K) + np.kron(T[first:M, first:M], np.eye(K.shape[0])), T
+
+
+@pytest.mark.parametrize("shape, layers", [((17,), 8), ((7, 7), 6)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_cylinder_solves_match_dense_kron_oracle(shape, layers, bc):
+    # the assembled tensor-product system, solved densely, referees the
+    # given-trace and the forced solve; the lid row M is held at zero
+    g = Grid((1.0,) * len(shape), shape)
+    A = CoefficientField.from_callable(g, lambda *x: 1.0 + 0.5 * np.sin(2 * np.pi * x[0]))
+    op = assemble(g, A, bc)
+    mesh = ExtensionMesh.build(g, 0.4, layers, height=3.0)
+    M, n, mask = mesh.layers, op.size, op.active_mask
+    u = GridFunction.from_callable(g, lambda *x: np.cos(2.0 * x[0]) + sum(x))
+
+    A, T = _dense_cylinder(op, mesh, 1)
+    b = np.zeros((M - 1, n))
+    b[0] -= T[1, 0] * op.restrict(u)  # the known trace row moves to the load
+    ref = np.linalg.solve(A, b.ravel()).reshape(M - 1, n)
+    U = solve_extension(op, u, mesh)
+    assert np.abs(U.values[1:M][:, mask] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    A, _ = _dense_cylinder(op, mesh, 0)
+    b = np.zeros((M, n))
+    b[0] = g.cell_volume * op.restrict(u)  # flux datum f = u on the free trace row
+    ref = np.linalg.solve(A, b.ravel()).reshape(M, n)
+    U = solve_extension_forced(op, mesh, ForcingData(None, u))
+    assert np.abs(U.values[:M][:, mask] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_lifted_dtn_matches_long_double_reference():
+    # u = phi_1 with identity coefficients gives U = phi_1 (x) (1 + w), where
+    # w solves the one-mode y-problem (lam D + T) w = 0 with w_0 = 0 and
+    # w_M = -1; solved here in long double and fitted like dtn_extract.  At
+    # s = 0.75 the increments w_j on the fit layers are ~1e-10, so the DtN
+    # error is the most rounding-sensitive number the extension reports.
+    s = 0.75
+    g = Grid((1.0,), (517,))
+    op = assemble(g, CoefficientField.identity(g), DIRICHLET)
+    basis = eigendecompose(op)
+    mesh = ExtensionMesh.build(g, s, 256, lam0=basis.lambda_min_positive)
+    phi1 = basis.eigenfunction(0)
+    target = fractional_apply(basis, phi1, s)
+    err = l2_norm(dtn_extract(solve_extension(op, phi1, mesh), s) - target) / l2_norm(target)
+
+    ld = np.longdouble
+    M = mesh.layers
+    lam = ld(basis.eigenvalues[0])
+    D = mesh.node_weights()[1:M].astype(ld)
+    kap = mesh.face_kappa().astype(ld)
+    diag = lam * D + kap[:-1] + kap[1:]  # rows 1..M-1, off-diagonals -kap[1:M-1]
+    rhs = -lam * D
+    rhs[-1] -= kap[-1]  # w_M = -1 on the lid
+    for i in range(1, M - 1):
+        m = kap[i] / diag[i - 1]
+        diag[i] -= m * kap[i]
+        rhs[i] += m * rhs[i - 1]
+    w = np.zeros(M - 1, dtype=ld)
+    w[-1] = rhs[-1] / diag[-1]
+    for i in range(M - 3, -1, -1):
+        w[i] = (rhs[i] + kap[i + 1] * w[i + 1]) / diag[i]
+    y = mesh.y_nodes[1:5].astype(ld)
+    cols = np.stack([(y / y[-1]) ** (2 * ld(s)), (y / y[-1]) ** 2])
+    G, r = cols @ cols.T, cols @ w[:4]
+    c0 = (G[1, 1] * r[0] - G[0, 1] * r[1]) / (G[0, 0] * G[1, 1] - G[0, 1] ** 2)
+    dtn = -c0 / y[-1] ** (2 * ld(s)) / ld(dtn_constant_intro(s))
+    err_ref = float(abs(dtn - lam ** ld(s)) / lam ** ld(s))
+    assert abs(err - err_ref) <= 1e-6 * err_ref
 
 
 def _eta_factory(mesh):
