@@ -33,6 +33,7 @@ from .grids import (
 from .operators import assemble
 from .spectral import (
     CompatibilityError,
+    DenseMemoryError,
     eigendecompose,
     fractional_apply,
     fractional_solve,
@@ -368,14 +369,20 @@ def _fit_needs_nodes():
         raise ConfigError(f"key 'nodes': too few grid points in the fit window: {exc}") from None
 
 
-def _extension_mesh(grid, s, layers, lam0, gamma=None) -> ExtensionMesh:
+def _extension_mesh(basis, s, layers, gamma=None) -> ExtensionMesh:
     """The graded cylinder mesh.  A grading the y-nodes cannot hold (gamma < 1,
-    or y_1 underflowing) is a config error on 'gamma', or on 's' when the
-    default grading max(3, 1/s) is used."""
+    or y_1 underflowing), or whose DtN fit layers y_1..y_4 are so low that
+    U - u rounds away ((sqrt(lambda_max) y_4)^{2s} < 1e-12), is a config
+    error on 'gamma', or on 's' for the default grading max(3, 1/s)."""
+    key = "s" if gamma is None else "gamma"
     try:
-        return ExtensionMesh.build(grid, s, layers, gamma_mesh=gamma, lam0=lam0)
+        mesh = ExtensionMesh.build(basis.grid, s, layers, gamma_mesh=gamma, lam0=basis.lambda_min_positive)
     except ExtensionError as exc:
-        raise ConfigError(f"key {'s' if gamma is None else 'gamma'!r}: {exc}") from None
+        raise ConfigError(f"key {key!r}: {exc}") from None
+    y4 = mesh.y_nodes[4]
+    if (math.sqrt(basis.lambda_max) * y4) ** (2 * s) < 1e-12:
+        raise ConfigError(f"key {key!r}: the DtN fit layers end at y={y4:.3g}, too low to resolve U - u")
+    return mesh
 
 
 def _extension_errors(op, basis, u: GridFunction, mesh: ExtensionMesh):
@@ -398,7 +405,7 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     layers = cfg.get_int("layers", 64, lo=5)  # dtn_extract fits 4 layers below the lid
     gamma = _optional_float(cfg, "gamma")
     basis = eigendecompose(op)
-    mesh = _extension_mesh(grid, s, layers, basis.lambda_min_positive, gamma)
+    mesh = _extension_mesh(basis, s, layers, gamma)
     which = cfg.get_choice("u", ("phi1", "bump"), "phi1")
     if which == "phi1":
         u = basis.eigenfunction(0)
@@ -537,7 +544,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         g = Grid((1.0,), (n,))
         op = assemble(g, CoefficientField.identity(g), DIRICHLET)
         basis = eigendecompose(op)
-        mesh = _extension_mesh(g, s, m, basis.lambda_min_positive)
+        mesh = _extension_mesh(basis, s, m)
         _, err, energy_err = _extension_errors(op, basis, basis.eigenfunction(0), mesh)
         return err, energy_err
 
@@ -588,7 +595,10 @@ def run(cfg: RunConfig, out_dir=None) -> ExitReport:
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.get_int("seed", 0)
     rng = np.random.default_rng(seed)
-    assertions, payload = _DISPATCH[cfg.command](cfg, out, rng)
+    try:
+        assertions, payload = _DISPATCH[cfg.command](cfg, out, rng)
+    except DenseMemoryError as exc:
+        raise ConfigError(f"key 'nodes': {exc}") from None
     passed = all(a["pass"] for a in assertions)
     resolved = cfg.resolved()
     report = {

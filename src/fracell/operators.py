@@ -70,15 +70,21 @@ class DiscreteOperator:
         return self.embed(vec)
 
 
-def _stiffness_1d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
-    n = grid.shape[0]
-    h = grid.spacing[0]
-    a = A.faces[0][:, 0, 0]  # scalar per edge
-    w = a / h  # elementary stiffness (h * a * (du/h)^2 -> a/h)
-    diag = np.zeros(n)
+def _tridiagonal(w: np.ndarray, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the 1D stiffness sum_f w_f (u_{f+1} - u_f)^2,
+    restricted to the interior nodes under Dirichlet."""
+    diag = np.zeros(w.size + 1)
     diag[:-1] += w
     diag[1:] += w
-    off = -w
+    if dirichlet:
+        return diag[1:-1], -w[1:-1]
+    return diag, -w
+
+
+def _stiffness_1d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
+    h = grid.spacing[0]
+    a = A.faces[0][:, 0, 0]  # scalar per edge
+    diag, off = _tridiagonal(a / h, False)  # elementary stiffness h * a * (du/h)^2 -> a/h
     return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
 
 
@@ -136,6 +142,27 @@ def _stiffness_2d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
     rows, cols, vals = (np.concatenate(parts) for parts in zip(x_faces, y_faces, cross))
     n = nx * ny
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _kronecker_factors(op: DiscreteOperator):
+    """The operator as a Kronecker sum T_x (x) I + diag(b) (x) T_y of
+    tridiagonals, returned as (T_x diagonal, T_x off-diagonal, b, T_y
+    diagonal, T_y off-diagonal), or None.  Decided from the coefficient
+    field: x-face A11 and y-face A22 samples that do not depend on y, and
+    A12 = 0 everywhere.  In 1D, T_y is the 1 x 1 zero."""
+    A, dirichlet = op.coeff, op.bc.is_dirichlet
+    if op.grid.dim == 1:
+        d, e = _tridiagonal(A.faces[0][:, 0, 0] / op.grid.spacing[0] ** 2, dirichlet)
+        return d, e, np.zeros_like(d), np.zeros(1), np.zeros(0)
+    Ax, Ay = A.faces
+    a11, a22 = Ax[:, :, 0, 0], Ay[:, :, 1, 1]
+    cross = np.any(Ax[..., 0, 1]) or np.any(Ay[..., 0, 1])
+    if cross or np.any(a11 != a11[:, :1]) or np.any(a22 != a22[:, :1]):
+        return None
+    (hx, hy), ny = op.grid.spacing, op.grid.shape[1]
+    d, e = _tridiagonal(a11[:, 0] / hx**2, dirichlet)
+    dy, ey = _tridiagonal(np.full(ny - 1, 1.0 / hy**2), dirichlet)
+    return d, e, a22[1:-1, 0] if dirichlet else a22[:, 0], dy, ey
 
 
 def assemble(grid: Grid, A: CoefficientField, bc: BoundaryCondition) -> DiscreteOperator:

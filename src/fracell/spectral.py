@@ -1,8 +1,9 @@
 """Eigendecomposition and the spectral route to L^s, L^{-s} and H^s norms.
 
-The full dense symmetric eigendecomposition (desk scale, <= ~4000 unknowns)
-makes this module the reference oracle for the semigroup and extension
-routes.  Eigenvectors are orthonormalized in the discrete L2 inner product
+The exact eigendecomposition (by tridiagonal factors in O(N n) storage where
+the operator splits, else one dense `eigh` that must fit in memory) makes this
+module the reference oracle for the semigroup and extension routes.
+Eigenvectors are orthonormalized in the discrete L2 inner product
 (uniform weight h^dim), so kernel matrices built from them are densities.
 """
 
@@ -15,13 +16,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, GridFunction, BoundaryCondition, l2_norm
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, _kronecker_factors
 
 __all__ = [
     "EigenBasis",
     "SpectralCoefficients",
     "SpectralError",
     "CompatibilityError",
+    "DenseMemoryError",
     "eigendecompose",
     "fractional_apply",
     "fractional_solve",
@@ -40,19 +42,27 @@ class CompatibilityError(SpectralError):
     """Neumann datum with nonzero mean; the problem is not solvable."""
 
 
+class DenseMemoryError(SpectralError):
+    """A dense N x N array that would not fit in the available memory."""
+
+
 @dataclass(frozen=True)
 class EigenBasis:
-    """Ascending eigenpairs of a discrete operator.
+    """Ascending eigenpairs of a discrete operator, kept as factors.
 
-    `vectors[:, k]` is the k-th eigenvector on the active nodes, orthonormal
-    in the discrete L2 product: weight * vectors.T @ vectors = I.
+    Active nodes form an (nx, ny) array (C order).  Eigenpair (j, k) has the
+    vector X[j][:, k] (x) Q[:, j] / sqrt(weight), with Q (ny x ny) and each
+    X[j] (nx x nx) l2-orthonormal; `order` lists the flat indices j*nx + k
+    by ascending eigenvalue.  A dense basis is the case ny = 1, Q = [[1]].
     """
 
     grid: Grid
     bc: BoundaryCondition
     active_mask: np.ndarray
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    Q: np.ndarray  # (ny, ny)
+    X: np.ndarray  # (ny, nx, nx)
+    order: np.ndarray  # (N,) flat block index of the m-th eigenpair
     weight: float  # discrete cell volume
 
     @property
@@ -68,15 +78,32 @@ class EigenBasis:
     def lambda_max(self) -> float:
         return float(self.eigenvalues.max())
 
+    def _blocks(self, per_mode: np.ndarray) -> np.ndarray:
+        """Values listed in eigenvalue order, laid out as (ny, nx) blocks."""
+        out = np.empty(self.size)
+        out[self.order] = per_mode
+        return out.reshape(self.Q.shape[0], self.X.shape[1])
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Dense (N, N) eigenvectors, column k for eigenvalue k, built on demand."""
+        _check_dense_bytes(self.size, 3, "dense eigenvectors")
+        V = self.X.transpose(1, 0, 2)[:, None] * self.Q[None, :, :, None]  # [x, y, j, k]
+        return V.reshape(self.size, self.size)[:, self.order] / math.sqrt(self.weight)
+
     def eigenfunction(self, k: int) -> GridFunction:
-        return GridFunction.embed(self.grid, self.active_mask, self.vectors[:, k])
+        return self.synthesize(np.eye(1, self.size, k)[0])
 
     def coefficients(self, u: GridFunction) -> np.ndarray:
         """Discrete L2 coefficients <u, phi_k>."""
-        return self.weight * (self.vectors.T @ u.restrict(self.active_mask))
+        U = u.restrict(self.active_mask).reshape(self.X.shape[1], -1) @ self.Q
+        C = np.matmul(U.T[:, None, :], self.X)[:, 0, :]
+        return math.sqrt(self.weight) * C.ravel()[self.order]
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
-        return GridFunction.embed(self.grid, self.active_mask, self.vectors @ coeffs)
+        W = np.matmul(self.X, self._blocks(coeffs)[:, :, None])[:, :, 0]
+        vec = (W.T @ self.Q.T).ravel() / math.sqrt(self.weight)
+        return GridFunction.embed(self.grid, self.active_mask, vec)
 
     def apply_fn(self, g, u: GridFunction) -> GridFunction:
         """g(L) u = sum_k g(lambda_k) u_k phi_k.
@@ -87,17 +114,37 @@ class EigenBasis:
         return self.synthesize(g(self.eigenvalues) * self.coefficients(u))
 
     def kernel(self, g) -> np.ndarray:
-        """Kernel density of g(L): sum_k g(lambda_k) phi_k(x) phi_k(z)."""
-        return (self.vectors * g(self.eigenvalues)[None, :]) @ self.vectors.T
+        """Kernel density of g(L): sum_k g(lambda_k) phi_k(x) phi_k(z).
+
+        Block by block: G_j = X_j diag(g) X_j^T, then the (x, y), (x', y')
+        entry is sum_j G_j[x, x'] Q[y, j] Q[y', j]."""
+        _check_dense_bytes(self.size, 2, "kernel matrix")
+        ny, nx = self.Q.shape[0], self.X.shape[1]
+        G = (self.X * self._blocks(g(self.eigenvalues))[:, None, :]) @ self.X.transpose(0, 2, 1)
+        if ny == 1:
+            return G[0] / self.weight
+        QQ = (self.Q[:, None, :] * self.Q[None, :, :]).reshape(ny * ny, ny)
+        K = (G.reshape(ny, nx * nx).T @ QQ.T).reshape(nx, nx, ny, ny)
+        return K.transpose(0, 2, 1, 3).reshape(self.size, self.size) / self.weight
 
     def residual(self, op: DiscreteOperator) -> float:
-        """max_k ||M phi_k - lambda_k phi_k||_2 over the active nodes."""
-        R = op.matrix @ self.vectors - self.vectors * self.eigenvalues[None, :]
-        return float(np.linalg.norm(R, axis=0).max())
+        """max_k ||M phi_k - lambda_k phi_k||_2 over the active nodes, built
+        one y-mode block of eigenvectors at a time."""
+        lam = self._blocks(self.eigenvalues)
+        worst = 0.0
+        for j in range(self.Q.shape[0]):
+            V = (self.X[j][:, None, :] * self.Q[None, :, j, None]).reshape(self.size, -1)
+            R = op.matrix @ V - V * lam[j]
+            worst = max(worst, float(np.einsum("ik,ik->k", R, R).max()))
+        return math.sqrt(worst / self.weight)
 
     def orthonormality_defect(self) -> float:
-        G = self.weight * (self.vectors.T @ self.vectors)
-        return float(np.abs(G - np.eye(self.size)).max())
+        """max |weight * phi^T phi - I|: exact within a y-mode block, and for
+        two blocks the Cauchy-Schwarz bound |Q_j . Q_j'| max_k |X[.][:, k]|^2."""
+        GQ, GX = self.Q.T @ self.Q, self.X.transpose(0, 2, 1) @ self.X
+        within = np.abs(GX * np.diag(GQ)[:, None, None] - np.eye(self.X.shape[1])).max()
+        across = np.abs(GQ - np.diag(np.diag(GQ))).max() * np.diagonal(GX, axis1=1, axis2=2).max()
+        return float(max(within, across))
 
 
 @dataclass(frozen=True)
@@ -119,8 +166,31 @@ class SpectralCoefficients:
         return abs(float(np.sum(self.coeffs**2)) - self.l2_norm**2) / self.l2_norm**2
 
 
+def _available_bytes() -> float:
+    """MemAvailable of /proc/meminfo; no limit where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            return next(1024.0 * float(ln.split()[1]) for ln in fh if ln.startswith("MemAvailable:"))
+    except (OSError, ValueError, StopIteration):
+        return math.inf
+
+
+def _check_dense_bytes(n: int, copies: int, what: str) -> None:
+    """Refuse `copies` dense n x n float arrays that memory cannot hold."""
+    need, avail = 8.0 * copies * n * n, _available_bytes()
+    if need > avail:
+        raise DenseMemoryError(f"{what} of {n} unknowns needs ~{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available")
+
+
 def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBasis:
-    """Full dense symmetric eigendecomposition of the active-node operator.
+    """Symmetric eigendecomposition of the active-node operator.
+
+    A Kronecker sum T_x (x) I + diag(b) (x) T_y (every 1D operator; see
+    `_kronecker_factors`) is diagonalised by factors, the fast
+    diagonalisation of Lynch, Rice & Thomas (1964): T_y = Q diag(mu) Q^T,
+    then the tridiagonal block T_x + mu_j diag(b) per y-mode j, all with
+    `eigh_tridiagonal`.  Any other operator takes one dense `eigh` (divide
+    and conquer) if its dense copies fit in the available memory.
 
     Eigenvectors are rescaled to discrete L2 orthonormality.  Raises with
     residual diagnostics if the decomposition fails the quality gates.
@@ -128,11 +198,22 @@ def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBas
     and the first eigenvector to the exact constant sign convention; for
     Dirichlet the first eigenvector is flipped positive in the interior.
     """
-    dense = op.matrix.toarray()
-    dense = 0.5 * (dense + dense.T)
-    lam, V = sla.eigh(dense)
+    factors = _kronecker_factors(op)
+    if factors is not None:
+        d, e, b, dy, ey = factors
+        mu, Q = sla.eigh_tridiagonal(dy, ey)
+        lam, X = sla.eigh_tridiagonal(
+            d[None, :] + mu[:, None] * b[None, :], np.broadcast_to(e, (mu.size, e.size))
+        )
+        order = np.argsort(lam, axis=None, kind="stable")
+        lam = lam.ravel()[order]
+    else:
+        _check_dense_bytes(op.size, 5, "dense eigendecomposition")
+        dense = op.matrix.toarray()
+        dense = 0.5 * (dense + dense.T)
+        lam, V = sla.eigh(dense, driver="evd")
+        Q, X, order = np.ones((1, 1)), V[None], np.arange(lam.size)
     w = op.grid.cell_volume
-    V = V / math.sqrt(w)
 
     if op.bc.is_dirichlet:
         if lam[0] <= 0:
@@ -146,11 +227,11 @@ def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBas
         lam[lam < 0] = 0.0
 
     # sign convention: ground state nonnegative
-    if V[:, 0].sum() < 0:
-        V = V.copy()
-        V[:, 0] = -V[:, 0]
+    j, k = divmod(int(order[0]), X.shape[1])
+    if X[j, :, k].sum() * Q[:, j].sum() < 0:
+        X[j, :, k] *= -1.0
 
-    basis = EigenBasis(op.grid, op.bc, op.grid.active_mask(op.bc), lam, V, w)
+    basis = EigenBasis(op.grid, op.bc, op.grid.active_mask(op.bc), lam, Q, X, order, w)
     res = basis.residual(op)
     scale = max(basis.lambda_max, 1.0)
     if res > residual_tol * scale:

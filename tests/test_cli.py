@@ -132,6 +132,7 @@ def test_console_entry_point(tmp_path):
         (["extension", "--nodes=9", "--layers=8", "--s=1e-9"], "s"),
         (["converge", "--nodes=9", "--layers=8", "--levels=2", "--s=1e-9"], "s"),
         (["solve", "--nodes=9", "--extent=1e300"], "extent"),
+        (["extension", "--nodes=9", "--gamma=100"], "gamma"),
     ],
 )
 def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):
@@ -139,3 +140,13 @@ def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert repr(key) in err
+
+
+def test_dense_request_past_available_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    from fracell import spectral
+
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1e6)
+    assert main(["kernel", "--dim=2", "--nodes=24", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nodes':")
+    assert "kernel matrix" in err

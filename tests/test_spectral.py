@@ -4,6 +4,7 @@ import pytest
 from fracell import (
     CoefficientField,
     DIRICHLET,
+    NEUMANN,
     Grid,
     GridFunction,
     apply,
@@ -216,3 +217,129 @@ def test_neumann_kernel_mode_policy(basis_neumann, grid_1d, rng):
     w = GridFunction(grid_1d, vals + 2.0)
     heated = heat_apply(basis_neumann, w, 0.1)
     assert heated.values.mean() == pytest.approx(w.values.mean(), rel=1e-12)
+
+
+def _dense_oracle(op, monkeypatch):
+    """`eigendecompose` forced onto its dense `eigh` path."""
+    from fracell import spectral
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_kronecker_factors", lambda op: None)
+        return eigendecompose(op)
+
+
+def _coefficient(grid, which):
+    if which == "identity":
+        return CoefficientField.identity(grid)
+    if which == "diag":
+        return CoefficientField.constant(grid, np.diag([1.0, 2.5][: grid.dim]))
+    return CoefficientField.from_callable(grid, lambda *xs: 1.0 + 0.5 * np.sin(2 * np.pi * xs[0]))
+
+
+@pytest.mark.parametrize("coeff", ["identity", "sine", "diag"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("shape", [(65,), (13, 13), (24, 24), (17, 11)], ids=str)
+def test_factored_basis_matches_dense_oracle(shape, bc, coeff, monkeypatch, rng):
+    from fracell.operators import _kronecker_factors
+
+    g = Grid((1.0,) * len(shape), shape)
+    op = assemble(g, _coefficient(g, coeff), bc)
+    assert _kronecker_factors(op) is not None
+    fact, dense = eigendecompose(op), _dense_oracle(op, monkeypatch)
+    assert dense.Q.shape == (1, 1) and fact.Q.shape[0] * fact.X.shape[1] == fact.size
+    lam, ref = fact.eigenvalues, dense.eigenvalues
+    assert np.all(np.diff(lam) >= 0)
+    assert np.all(np.abs(lam - ref) <= 1e-13 * ref)  # the Neumann zero modes are both exactly 0
+    assert fact.residual(op) <= 1e-12 * fact.lambda_max
+    assert fact.orthonormality_defect() <= 1e-13
+
+    def g_fn(lam):
+        return np.exp(-lam / lam[-1]) + np.sqrt(lam)
+
+    u = GridFunction.embed(g, fact.active_mask, rng.standard_normal(fact.size))
+    got, want = fact.apply_fn(g_fn, u).values, dense.apply_fn(g_fn, u).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    K, K_ref = fact.kernel(g_fn), dense.kernel(g_fn)
+    assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+    # an isolated eigenvalue fixes its eigenvector up to sign
+    for k in (0, 1, fact.size - 1):
+        if np.abs(np.delete(ref, k) - ref[k]).min() > 1e-6 * ref[-1]:
+            a, b = fact.eigenfunction(k).values, dense.eigenfunction(k).values
+            assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-9 * np.abs(b).max()
+    assert fact.eigenfunction(0).values.sum() > 0
+
+
+def _y_dependent(grid):
+    return CoefficientField.from_callable(grid, lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * y) * x)
+
+
+def _rotated(grid):
+    # the shape of the benchmark's cross-term field: a position-dependent rotation
+    def fn(x, y):
+        th = 0.4 + 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+        c, s = np.cos(th), np.sin(th)
+        a = np.empty(x.shape + (2, 2))
+        a[..., 0, 0] = c * c + 0.3 * s * s
+        a[..., 1, 1] = s * s + 0.3 * c * c
+        a[..., 0, 1] = a[..., 1, 0] = 0.7 * c * s
+        return a
+
+    return CoefficientField.from_callable(grid, fn)
+
+
+def _constant_cross(grid):
+    return CoefficientField.constant(grid, [[1.0, 0.3], [0.3, 1.0]])
+
+
+@pytest.mark.parametrize("field", [_y_dependent, _rotated, _constant_cross])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_fields_that_do_not_split_take_the_dense_path(field, bc):
+    from fracell.operators import _kronecker_factors
+
+    g = Grid((1.0, 1.0), (12, 12))
+    op = assemble(g, field(g), bc)
+    assert _kronecker_factors(op) is None
+    b = eigendecompose(op)
+    assert b.Q.shape == (1, 1) and b.X.shape == (1, op.size, op.size)
+    assert b.residual(op) <= 1e-12 * b.lambda_max
+    assert b.orthonormality_defect() <= 1e-13
+
+
+def test_factored_solve_at_130_squared_builds_no_dense_matrix():
+    import tracemalloc
+
+    g = Grid((1.0, 1.0), (130, 130))
+    op = assemble(g, _coefficient(g, "sine"), DIRICHLET)
+    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(3 * np.pi * y) + x * y * (1 - x) * (1 - y))
+    tracemalloc.start()
+    try:
+        basis = eigendecompose(op)
+        u = fractional_solve(basis, f, 0.5)
+        back = fractional_apply(basis, u, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense N x N float array alone would be 8 * 16384**2 bytes = 2 GiB
+    assert peak <= 256 * 2**20
+    mask = basis.active_mask
+    assert np.linalg.norm(back.values[mask] - f.values[mask]) <= 1e-8 * np.linalg.norm(f.values[mask])
+
+
+def test_dense_allocations_check_available_memory(monkeypatch):
+    from fracell import spectral
+    from fracell.spectral import DenseMemoryError
+
+    g = Grid((1.0, 1.0), (12, 12))
+    factored = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    cross = assemble(g, _constant_cross(g), DIRICHLET)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1e4)
+    with pytest.raises(DenseMemoryError, match="dense eigendecomposition"):
+        eigendecompose(cross)
+    with pytest.raises(DenseMemoryError, match="kernel matrix"):
+        factored.kernel(np.ones_like)
+    with pytest.raises(DenseMemoryError, match="dense eigenvectors"):
+        factored.vectors
+    # the factored decomposition and its transforms allocate no N x N array
+    basis = eigendecompose(assemble(g, CoefficientField.identity(g), NEUMANN))
+    u = basis.eigenfunction(3)
+    assert np.abs(basis.apply_fn(np.ones_like, u).values - u.values).max() <= 1e-12
