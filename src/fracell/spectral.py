@@ -87,7 +87,7 @@ class EigenBasis:
     @property
     def vectors(self) -> np.ndarray:
         """Dense (N, N) eigenvectors, column k for eigenvalue k, built on demand."""
-        _check_dense_bytes(self.size, 3, "dense eigenvectors")
+        _check_memory(3 * self.size**2, f"dense eigenvectors of {self.size} unknowns")
         V = self.X.transpose(1, 0, 2)[:, None] * self.Q[None, :, :, None]  # [x, y, j, k]
         return V.reshape(self.size, self.size)[:, self.order] / math.sqrt(self.weight)
 
@@ -118,7 +118,7 @@ class EigenBasis:
 
         Block by block: G_j = X_j diag(g) X_j^T, then the (x, y), (x', y')
         entry is sum_j G_j[x, x'] Q[y, j] Q[y', j]."""
-        _check_dense_bytes(self.size, 2, "kernel matrix")
+        _check_memory(2 * self.size**2, f"kernel matrix of {self.size} unknowns")
         ny, nx = self.Q.shape[0], self.X.shape[1]
         G = (self.X * self._blocks(g(self.eigenvalues))[:, None, :]) @ self.X.transpose(0, 2, 1)
         if ny == 1:
@@ -129,13 +129,16 @@ class EigenBasis:
 
     def residual(self, op: DiscreteOperator) -> float:
         """max_k ||M phi_k - lambda_k phi_k||_2 over the active nodes, built
-        one y-mode block of eigenvectors at a time."""
+        from at most 256 eigenvectors of one y-mode block at a time."""
         lam = self._blocks(self.eigenvalues)
         worst = 0.0
         for j in range(self.Q.shape[0]):
-            V = (self.X[j][:, None, :] * self.Q[None, :, j, None]).reshape(self.size, -1)
-            R = op.matrix @ V - V * lam[j]
-            worst = max(worst, float(np.einsum("ik,ik->k", R, R).max()))
+            for c in range(0, self.X.shape[1], 256):
+                V = (self.X[j][:, None, c : c + 256] * self.Q[None, :, j, None]).reshape(self.size, -1)
+                R = op.matrix @ V
+                V *= lam[j, c : c + 256]
+                R -= V
+                worst = max(worst, float(np.einsum("ik,ik->k", R, R).max()))
         return math.sqrt(worst / self.weight)
 
     def orthonormality_defect(self) -> float:
@@ -175,11 +178,11 @@ def _available_bytes() -> float:
         return math.inf
 
 
-def _check_dense_bytes(n: int, copies: int, what: str) -> None:
-    """Refuse `copies` dense n x n float arrays that memory cannot hold."""
-    need, avail = 8.0 * copies * n * n, _available_bytes()
+def _check_memory(floats: int, what: str) -> None:
+    """Refuse, before allocating, `floats` float64 values that memory cannot hold."""
+    need, avail = 8.0 * floats, _available_bytes()
     if need > avail:
-        raise DenseMemoryError(f"{what} of {n} unknowns needs ~{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available")
+        raise DenseMemoryError(f"{what} needs ~{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available")
 
 
 def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBasis:
@@ -201,6 +204,7 @@ def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBas
     factors = _kronecker_factors(op)
     if factors is not None:
         d, e, b, dy, ey = factors
+        _check_memory((2 * dy.size + 1) * d.size**2, f"{dy.size} x {d.size} x {d.size} block eigenvectors")
         mu, Q = sla.eigh_tridiagonal(dy, ey)
         lam, X = sla.eigh_tridiagonal(
             d[None, :] + mu[:, None] * b[None, :], np.broadcast_to(e, (mu.size, e.size))
@@ -208,7 +212,7 @@ def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBas
         order = np.argsort(lam, axis=None, kind="stable")
         lam = lam.ravel()[order]
     else:
-        _check_dense_bytes(op.size, 5, "dense eigendecomposition")
+        _check_memory(5 * op.size**2, f"dense eigendecomposition of {op.size} unknowns")
         dense = op.matrix.toarray()
         dense = 0.5 * (dense + dense.T)
         lam, V = sla.eigh(dense, driver="evd")

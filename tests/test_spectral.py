@@ -20,7 +20,9 @@ from fracell import (
     l2_norm,
     scaling_check,
 )
-from fracell.spectral import CompatibilityError, SpectralCoefficients, SpectralError
+from fracell import spectral
+from fracell.operators import _kronecker_factors
+from fracell.spectral import CompatibilityError, DenseMemoryError, SpectralCoefficients, SpectralError
 
 from conftest import random_dirichlet_field
 
@@ -221,8 +223,6 @@ def test_neumann_kernel_mode_policy(basis_neumann, grid_1d, rng):
 
 def _dense_oracle(op, monkeypatch):
     """`eigendecompose` forced onto its dense `eigh` path."""
-    from fracell import spectral
-
     with monkeypatch.context() as m:
         m.setattr(spectral, "_kronecker_factors", lambda op: None)
         return eigendecompose(op)
@@ -240,12 +240,16 @@ def _coefficient(grid, which):
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
 @pytest.mark.parametrize("shape", [(65,), (13, 13), (24, 24), (17, 11)], ids=str)
 def test_factored_basis_matches_dense_oracle(shape, bc, coeff, monkeypatch, rng):
-    from fracell.operators import _kronecker_factors
+    def no_dense_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called for a Kronecker-sum operator")
 
     g = Grid((1.0,) * len(shape), shape)
     op = assemble(g, _coefficient(g, coeff), bc)
     assert _kronecker_factors(op) is not None
-    fact, dense = eigendecompose(op), _dense_oracle(op, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(spectral.sla, "eigh", no_dense_eigh)
+        fact = eigendecompose(op)
+    dense = _dense_oracle(op, monkeypatch)
     assert dense.Q.shape == (1, 1) and fact.Q.shape[0] * fact.X.shape[1] == fact.size
     lam, ref = fact.eigenvalues, dense.eigenvalues
     assert np.all(np.diff(lam) >= 0)
@@ -294,8 +298,6 @@ def _constant_cross(grid):
 @pytest.mark.parametrize("field", [_y_dependent, _rotated, _constant_cross])
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
 def test_fields_that_do_not_split_take_the_dense_path(field, bc):
-    from fracell.operators import _kronecker_factors
-
     g = Grid((1.0, 1.0), (12, 12))
     op = assemble(g, field(g), bc)
     assert _kronecker_factors(op) is None
@@ -310,7 +312,7 @@ def test_factored_solve_at_130_squared_builds_no_dense_matrix():
 
     g = Grid((1.0, 1.0), (130, 130))
     op = assemble(g, _coefficient(g, "sine"), DIRICHLET)
-    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(3 * np.pi * y) + x * y * (1 - x) * (1 - y))
+    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(3 * np.pi * y) + x * y)
     tracemalloc.start()
     try:
         basis = eigendecompose(op)
@@ -326,20 +328,22 @@ def test_factored_solve_at_130_squared_builds_no_dense_matrix():
 
 
 def test_dense_allocations_check_available_memory(monkeypatch):
-    from fracell import spectral
-    from fracell.spectral import DenseMemoryError
-
+    # 12^2 Neumann, N = 144: the factored basis needs 25 blocks of 144 floats
+    # (29 KB), the dense eigh 5 N^2 (829 KB), a kernel 2 N^2, vectors 3 N^2
     g = Grid((1.0, 1.0), (12, 12))
-    factored = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
-    cross = assemble(g, _constant_cross(g), DIRICHLET)
-    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1e4)
-    with pytest.raises(DenseMemoryError, match="dense eigendecomposition"):
-        eigendecompose(cross)
-    with pytest.raises(DenseMemoryError, match="kernel matrix"):
-        factored.kernel(np.ones_like)
-    with pytest.raises(DenseMemoryError, match="dense eigenvectors"):
-        factored.vectors
-    # the factored decomposition and its transforms allocate no N x N array
-    basis = eigendecompose(assemble(g, CoefficientField.identity(g), NEUMANN))
+    op = assemble(g, CoefficientField.identity(g), NEUMANN)
+    cross = assemble(g, _constant_cross(g), NEUMANN)
+    g1 = Grid((1.0,), (130,))
+    line = assemble(g1, CoefficientField.identity(g1), DIRICHLET)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1e5)
+    basis = eigendecompose(op)
     u = basis.eigenfunction(3)
     assert np.abs(basis.apply_fn(np.ones_like, u).values - u.values).max() <= 1e-12
+    with pytest.raises(DenseMemoryError, match="dense eigendecomposition of 144 unknowns"):
+        eigendecompose(cross)
+    with pytest.raises(DenseMemoryError, match="1 x 128 x 128 block eigenvectors"):
+        eigendecompose(line)  # a 1D basis is one dense 128 x 128 block
+    with pytest.raises(DenseMemoryError, match="kernel matrix"):
+        basis.kernel(np.ones_like)
+    with pytest.raises(DenseMemoryError, match="dense eigenvectors"):
+        basis.vectors
