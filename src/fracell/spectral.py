@@ -43,7 +43,7 @@ class CompatibilityError(SpectralError):
 
 
 class DenseMemoryError(SpectralError):
-    """A dense N x N array that would not fit in the available memory."""
+    """Eigenvector or kernel arrays that would not fit in the available memory."""
 
 
 @dataclass(frozen=True)
