@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Extension-route convergence sweep: DtN and energy-identity errors over
-three mesh levels for each s, via the `converge` command.
-
-FRACELL_THREADS parallelizes the mesh levels inside each run.
+three mesh levels for each s, via the `converge` command.  The levels run
+one after another; each decomposes its base operator once.
 """
 
 import json

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.linalg as sla
-from scipy.special import gamma as gamma_fn, kv, kve
+from scipy.special import gamma as gamma_fn, kve
 
 from .grids import Grid, GridFunction, GridError
 from .operators import DiscreteOperator
-from .spectral import EigenBasis
+from .spectral import EigenBasis, eigendecompose
 from .semigroup import SingularQuadrature, _mode_poisson
 
 __all__ = [
@@ -269,20 +269,23 @@ def _solve_cylinder(
     mesh: ExtensionMesh,
     trace_vec: np.ndarray | None,
     load: np.ndarray | None,
+    basis: EigenBasis | None,
 ) -> ExtensionField:
     """Solve D_j K U_j + (T U)_j = load_j on the rows first..M-1; the lid
     row M is held at zero and the trace row is given (trace_vec, first = 1,
     no load) or free (first = 0, `load` is (M+1, active nodes)).
 
-    Separation of variables in the base eigenbasis K = Phi diag(lam) Phi^T:
-    each base mode k leaves one SPD tridiagonal y-system
-    (lam_k D + T) w_k = (rhs Phi)[:, k], and the rows are W Phi^T.  A given
-    trace is lifted out first (V = U - u, so V = 0 on row 0 and -u on the
-    lid): the interior rows of T sum to zero, so the load becomes -D_j K u
-    plus T[M-1, M] u on row M-1, and the small increments U(y_j) - u that
-    the DtN fit reads are solved for directly instead of being differences
-    of O(|u|) rows.  The normwise backward error of the solved system is
-    gated at _BACKWARD_ERROR_TOL."""
+    Separation of variables in the base `EigenBasis` (`eigendecompose(op)`
+    if not given), which diagonalises K = op.matrix h^dim with eigenvalues
+    h^dim lam_k: the basis transforms the rows, and each mode leaves one SPD
+    tridiagonal y-system (h^dim lam_k D + T) w_k = rhs_k.  A given trace is
+    lifted out first (V = U - u, so V = 0 on row 0 and -u on the lid): the
+    interior rows of T sum to zero, so the load becomes -D_j K u plus
+    T[M-1, M] u on row M-1, and the increments U(y_j) - u that the DtN fit
+    reads are solved for directly, not as differences of O(|u|) rows.  The
+    backward error is gated at _BACKWARD_ERROR_TOL (a wrong basis fails)."""
+    if basis is None:
+        basis = eigendecompose(op)
     K = _base_stiffness(op)
     M = mesh.layers
     first = 0 if trace_vec is None else 1
@@ -294,18 +297,15 @@ def _solve_cylinder(
     else:
         rhs = -D[:, None] * (K @ trace_vec)[None, :]
         rhs[-1] += T[M - 1, M] * trace_vec
-    # divide and conquer: orthonormal to ~1e-15 where the default driver
-    # leaves ~1e-13 (Phi^T stands in for Phi^{-1}), and ~3x faster on 2D bases
-    lam, Phi = sla.eigh(K.toarray(), driver="evd")
-    R = rhs @ Phi
-    W = np.empty_like(R)
+    R = basis.coefficients_batch(rhs)
+    lam = op.grid.cell_volume * basis.eigenvalues
     band = np.zeros((2, M - first))
     band[0, 1:] = Tjj.diagonal(1)
     t_diag = Tjj.diagonal()
     for k in range(lam.size):
         band[1] = lam[k] * D + t_diag
-        W[:, k] = sla.solveh_banded(band, R[:, k])
-    V = W @ Phi.T
+        R[:, k] = sla.solveh_banded(band, R[:, k])
+    V = basis.synthesize_batch(R)
     err = _backward_error(K, D, Tjj, V, rhs)
     if not err <= _BACKWARD_ERROR_TOL:  # NaN fails too
         raise ExtensionError(
@@ -352,29 +352,31 @@ def _forcing_load(
 
 
 def solve_extension(
-    op: DiscreteOperator, u: GridFunction, mesh: ExtensionMesh
+    op: DiscreteOperator, u: GridFunction, mesh: ExtensionMesh, basis: EigenBasis | None = None
 ) -> ExtensionField:
     """Weak solution of div(y^a B grad U) = 0 with trace U(., 0) = u.
 
     Lateral boundary follows the base operator's condition (Dirichlet
     walls or zero conormal flux); the lid at y = Y is homogeneous Dirichlet
-    as the decay surrogate.
+    as the decay surrogate.  `basis` defaults to `eigendecompose(op)`.
     """
     if u.grid != op.grid:
         raise GridError("trace lives on a different grid")
     if mesh.base != op.grid:
         raise ExtensionError("mesh base differs from operator grid")
-    return _solve_cylinder(op, mesh, op.restrict(u), None)
+    return _solve_cylinder(op, mesh, op.restrict(u), None, basis)
 
 
 def solve_extension_forced(
     op: DiscreteOperator,
     mesh: ExtensionMesh,
     forcing: ForcingData,
+    basis: EigenBasis | None = None,
 ) -> ExtensionField:
     """Weak solution of div(y^a B grad U) = div(y^a F), -y^a U_y|_{y=0} = f.
 
     The trace row is free; f enters the y = 0 equation as a flux load.
+    `basis` defaults to `eigendecompose(op)`.
     """
     if mesh.base != op.grid:
         raise ExtensionError("mesh base differs from operator grid")
@@ -383,7 +385,7 @@ def solve_extension_forced(
         load[0] += op.grid.cell_volume * op.restrict(forcing.f)
     if forcing.horizontal is not None:
         load += _forcing_load(op, mesh, forcing.horizontal)
-    return _solve_cylinder(op, mesh, None, load)
+    return _solve_cylinder(op, mesh, None, load, basis)
 
 
 def dtn_extract(

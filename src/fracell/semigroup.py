@@ -27,7 +27,7 @@ from scipy.special import gamma as gamma_fn
 
 from .grids import Grid, GridFunction
 from .operators import DiscreteOperator
-from .spectral import EigenBasis
+from .spectral import EigenBasis, _check_memory
 
 __all__ = [
     "SingularQuadrature",
@@ -312,11 +312,19 @@ class KernelMatrix:
     def grid(self) -> Grid:
         return self.basis.grid
 
+    def max_abs(self, other: np.ndarray | None = None) -> float:
+        """max |entries - other| (or max |entries|) by 256-row blocks: no N x N temporary."""
+        A = self.entries
+        return max(
+            float(np.abs(A[i : i + 256] if other is None else A[i : i + 256] - other[i : i + 256]).max())
+            for i in range(0, len(A), 256)
+        )
+
     def symmetry_defect(self) -> float:
-        scale = np.abs(self.entries).max()
+        scale = self.max_abs()
         if scale == 0:
             return 0.0
-        return float(np.abs(self.entries - self.entries.T).max() / scale)
+        return self.max_abs(self.entries.T) / scale
 
     def min_entry(self) -> float:
         return float(self.entries.min())
@@ -344,14 +352,13 @@ class KernelMatrix:
             lo, hi = interior_margin, self.grid.extents[d] - interior_margin
             ok &= (pts[:, d] >= lo) & (pts[:, d] <= hi)
         idx = np.flatnonzero(ok)
-        sub = pts[idx]
-        D = np.sqrt(np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=2))
-        V = self.entries[np.ix_(idx, idx)]
-        iu = np.triu_indices(len(idx), k=1)
-        dist = D[iu]
-        vals = V[iu]
+        # next to the held kernel: n^2/2 index pairs, then 4 coordinate arrays of n^2/2 x dim
+        _check_memory(self.entries.size + (2 * self.grid.dim + 2) * idx.size**2, f"pair distances of {idx.size} nodes")
+        i, j = np.triu_indices(idx.size, k=1)
+        i, j = idx[i], idx[j]
+        dist = np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1))
         keep = (dist >= r_min) & (dist <= r_max)
-        return dist[keep], vals[keep]
+        return dist[keep], self.entries[i[keep], j[keep]]
 
 
 def heat_kernel(basis: EigenBasis, t: float) -> KernelMatrix:
@@ -374,9 +381,8 @@ def jump_kernel(basis: EigenBasis, s: float, q: SingularQuadrature) -> KernelMat
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
     # int (W_t - completeness) dt/t^{1+s} = Phi diag(Gamma(-s) lam^s) Phi^T
-    K = basis.kernel(lambda lam: gamma_fn(-s) * _mode_balakrishnan(lam, s, q)) / (
-        2.0 * abs(gamma_fn(-s))
-    )
+    K = basis.kernel(lambda lam: gamma_fn(-s) * _mode_balakrishnan(lam, s, q))
+    K /= 2.0 * abs(gamma_fn(-s))
     np.fill_diagonal(K, 0.0)
     kind = "jump" if basis.bc.is_dirichlet else "jump_neumann"
     return KernelMatrix(basis, kind, K, {"s": s})

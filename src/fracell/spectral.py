@@ -79,10 +79,10 @@ class EigenBasis:
         return float(self.eigenvalues.max())
 
     def _blocks(self, per_mode: np.ndarray) -> np.ndarray:
-        """Values listed in eigenvalue order, laid out as (ny, nx) blocks."""
-        out = np.empty(self.size)
-        out[self.order] = per_mode
-        return out.reshape(self.Q.shape[0], self.X.shape[1])
+        """Values listed in eigenvalue order (last axis), laid out as (ny, nx) blocks."""
+        out = np.empty(per_mode.shape)
+        out[..., self.order] = per_mode
+        return out.reshape(per_mode.shape[:-1] + (self.Q.shape[0], self.X.shape[1]))
 
     @property
     def vectors(self) -> np.ndarray:
@@ -94,15 +94,23 @@ class EigenBasis:
     def eigenfunction(self, k: int) -> GridFunction:
         return self.synthesize(np.eye(1, self.size, k)[0])
 
+    def coefficients_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients <row_b, phi_k> of active-node rows (B, N), O(B N (nx + ny))."""
+        U = rows.reshape(len(rows), self.X.shape[1], -1) @ self.Q  # [b, x, j]
+        C = np.matmul(U.transpose(2, 0, 1), self.X)  # [j, b, k]
+        return math.sqrt(self.weight) * C.transpose(1, 0, 2).reshape(len(rows), -1)[:, self.order]
+
+    def synthesize_batch(self, coeffs: np.ndarray) -> np.ndarray:
+        """Active-node rows (B, N) of sum_k coeffs[b, k] phi_k."""
+        W = np.matmul(self.X, self._blocks(coeffs).transpose(1, 2, 0))  # [j, x, b]
+        return (W.transpose(2, 1, 0) @ self.Q.T).reshape(len(coeffs), -1) / math.sqrt(self.weight)
+
     def coefficients(self, u: GridFunction) -> np.ndarray:
         """Discrete L2 coefficients <u, phi_k>."""
-        U = u.restrict(self.active_mask).reshape(self.X.shape[1], -1) @ self.Q
-        C = np.matmul(U.T[:, None, :], self.X)[:, 0, :]
-        return math.sqrt(self.weight) * C.ravel()[self.order]
+        return self.coefficients_batch(u.restrict(self.active_mask)[None])[0]
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
-        W = np.matmul(self.X, self._blocks(coeffs)[:, :, None])[:, :, 0]
-        vec = (W.T @ self.Q.T).ravel() / math.sqrt(self.weight)
+        vec = self.synthesize_batch(np.asarray(coeffs)[None])[0]
         return GridFunction.embed(self.grid, self.active_mask, vec)
 
     def apply_fn(self, g, u: GridFunction) -> GridFunction:

@@ -87,13 +87,32 @@ def test_neumann_incompatible_rhs_fails_cleanly(tmp_path):
     assert "mean" in report["results"]["error"]
 
 
-def test_converge_respects_thread_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRACELL_THREADS", "2")
+def test_converge_two_levels(tmp_path):
     cfg = RunConfig("converge", {"nodes": "34", "layers": "16", "levels": "2", "s": "0.5"})
     result = run(cfg, out_dir=tmp_path)
     assert result.passed
     data = json.loads((tmp_path / "convergence.json").read_text())
     assert len(data["dtn_errors"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args, calls",
+    [(["extension", "--nodes=34", "--layers=16"], 1), (["converge", "--nodes=17", "--layers=8", "--levels=3"], 3)],
+    ids=["extension", "converge"],
+)
+def test_each_extension_level_decomposes_its_base_once(tmp_path, monkeypatch, args, calls):
+    from fracell import cli, extension, spectral
+
+    seen = []
+
+    def counted(op, *rest, **kw):
+        seen.append(op.size)
+        return spectral.eigendecompose(op, *rest, **kw)
+
+    monkeypatch.setattr(cli, "eigendecompose", counted)
+    monkeypatch.setattr(extension, "eigendecompose", counted)
+    main([*args, f"--out={tmp_path}"])
+    assert len(seen) == len(set(seen)) == calls
 
 
 def test_console_entry_point(tmp_path):
@@ -133,6 +152,10 @@ def test_console_entry_point(tmp_path):
         (["converge", "--nodes=9", "--layers=8", "--levels=2", "--s=1e-9"], "s"),
         (["solve", "--nodes=9", "--extent=1e300"], "extent"),
         (["extension", "--nodes=9", "--gamma=100"], "gamma"),
+        (["solve", "--nodes=9", "--coeff=constant:0"], "coeff"),
+        (["solve", "--nodes=9", "--coeff=constant:-1"], "coeff"),
+        (["solve", "--nodes=9", "--dim=2", "--coeff=diag:1,-1"], "coeff"),
+        (["solve", "--nodes=9", "--coeff=constant:inf"], "coeff"),
     ],
 )
 def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):
@@ -150,3 +173,24 @@ def test_dense_request_past_available_memory_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'nodes':")
     assert "kernel matrix" in err
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["--kind=greens"], "a second Green kernel"),
+        (["--kind=jump", "--margin=0"], "pair distances"),
+    ],
+    ids=["greens", "jump"],
+)
+def test_kernel_consumers_check_available_memory(tmp_path, capsys, monkeypatch, args, what):
+    # memory for the kernel's own check (2 N^2 floats, N = 22^2) and little
+    # more: a second Green kernel next to the first, or the pair distances
+    # of every node next to the jump kernel, does not fit
+    from fracell import spectral
+
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1.01 * 8 * 2 * (22**2) ** 2)
+    assert main(["kernel", "--dim=2", "--nodes=24", *args, f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nodes':")
+    assert what in err

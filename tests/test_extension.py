@@ -420,6 +420,65 @@ def test_lifted_dtn_matches_long_double_reference():
     assert abs(err - err_ref) <= 1e-6 * err_ref
 
 
+def _sine_base(shape, bc=DIRICHLET):
+    g = Grid((1.0,) * len(shape), shape)
+    A = CoefficientField.from_callable(g, lambda *x: 1.0 + 0.5 * np.sin(2 * np.pi * x[0]))
+    return g, assemble(g, A, bc)
+
+
+@pytest.mark.parametrize("shape", [(33,), (13, 11)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_cylinder_solves_transform_through_the_base_eigenbasis(shape, bc, monkeypatch):
+    # the solve diagonalises nothing itself: both bases are Kronecker sums,
+    # so eigendecompose takes its factored route and no dense eigh runs;
+    # a given basis only saves the decomposition and changes no bit
+    import scipy.linalg
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called by the extension solve")
+
+    g, op = _sine_base(shape, bc)
+    mesh = ExtensionMesh.build(g, 0.4, 8, height=3.0)
+    u = GridFunction.from_callable(g, lambda *x: np.cos(2.0 * x[0]) + sum(x))
+    forcing = ForcingData(None, u)
+    with monkeypatch.context() as m:
+        m.setattr(scipy.linalg, "eigh", no_eigh)
+        basis = eigendecompose(op)
+        for given in (None, basis):
+            assert np.array_equal(solve_extension(op, u, mesh, given).values, solve_extension(op, u, mesh).values)
+            assert np.array_equal(
+                solve_extension_forced(op, mesh, forcing, given).values,
+                solve_extension_forced(op, mesh, forcing).values,
+            )
+
+
+def test_basis_of_another_operator_fails_the_backward_error_gate():
+    g, op = _sine_base((33,))
+    other = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    mesh = ExtensionMesh.build(g, 0.4, 8, height=3.0)
+    u = GridFunction.from_callable(g, lambda x: np.sin(np.pi * x) + x)
+    with pytest.raises(ExtensionError, match="backward error"):
+        solve_extension(op, u, mesh, other)
+    with pytest.raises(ExtensionError, match="backward error"):
+        solve_extension_forced(op, mesh, ForcingData(None, u), other)
+
+
+def test_extension_on_64_squared_builds_no_dense_matrix():
+    import tracemalloc
+
+    g, op = _sine_base((64, 64))
+    mesh = ExtensionMesh.build(g, 0.5, 16, height=3.0)
+    u = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    tracemalloc.start()
+    try:
+        U = solve_extension(op, u, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * op.size**2  # one N x N float64 array, N = 62^2: 118 MB
+    assert np.array_equal(U.values[0], u.values * op.active_mask)
+
+
 def _eta_factory(mesh):
     height = mesh.height
 
