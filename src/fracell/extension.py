@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.linalg as sla
-from scipy.special import gamma as gamma_fn, kve
+from scipy.special import gamma as gamma_fn, kv, kve
 
 from .grids import Grid, GridFunction, GridError
 from .operators import DiscreteOperator

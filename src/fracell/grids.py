@@ -9,7 +9,7 @@ cell volume h^dim at every node; this convention is shared by all modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
