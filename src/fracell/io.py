@@ -141,13 +141,12 @@ def write_probe_sweep_csv(path, rows: list[dict]) -> None:
 
 
 def write_kernel_csv(path, kernel) -> None:
-    """Kernel matrix as (i, j, value) triplets over active-node pairs."""
-    lines = ["i,j,value"]
-    n = kernel.entries.shape[0]
-    for i in range(n):
-        for j in range(n):
-            lines.append(f"{i},{j},{fmt(kernel.entries[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Kernel matrix as (i, j, value) triplets over active-node pairs,
+    streamed row by row: memory stays O(N) for the N^2 lines."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("i,j,value\n")
+        for i, row in enumerate(kernel.entries):
+            fh.writelines(f"{i},{j},{fmt(v)}\n" for j, v in enumerate(row.tolist()))
 
 
 def write_extension_csv(path, field) -> None:

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import gamma as gamma_fn
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.special import gamma as gamma_fn, gammaln
 
 from .grids import Grid, GridFunction
 from .operators import DiscreteOperator
@@ -55,6 +56,9 @@ __all__ = [
 
 class QuadratureError(ValueError):
     """Uncalibrated or inconsistent singular quadrature."""
+
+
+_BACKWARD_ERROR_TOL = 1e-12  # normwise backward error gate of each resolvent solve
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,9 @@ class SingularQuadrature:
         tol: float = 1e-9,
         dtau: float = 0.25,
     ) -> "SingularQuadrature":
-        """Rule with exponent s calibrated for (e^{-t lam} - 1) integrands
-        over lam in [lam_min, lam_max].
+        """Rule with exponent s calibrated for (e^{-t lam} - 1) integrands over
+        lam in [lam_min, lam_max]; it serves the resolvent integrands
+        (1 + t lam / m)^{-m} - 1 of `balakrishnan_apply` as well.
 
         t_min caps the head truncation (lam t)^(1-s)/(1-s); t_max caps the
         power tail t^(-s)/(s |Gamma(-s)| lam_min^s).
@@ -261,33 +266,68 @@ def heat_apply_stepped(
     return op.embed(vec)
 
 
+def _upper_band(matrix: sp.csr_matrix) -> np.ndarray:
+    """Upper band of a symmetric matrix in LAPACK storage ab[kd + i - j, j] = A[i, j];
+    kd is read off the sparsity pattern (1 in 1D, about nx in 2D)."""
+    U = sp.triu(matrix, format="coo")
+    kd = int((U.col - U.row).max(initial=0))
+    ab = np.zeros((kd + 1, matrix.shape[0]), order="F")
+    ab[kd + U.row - U.col, U.col] = U.data
+    return ab
+
+
 def balakrishnan_apply(
     source,
     u: GridFunction,
     s: float,
     q: SingularQuadrature,
-    steps_per_node: int = 64,
+    steps_per_node: int = 1,
 ) -> GridFunction:
     """L^s u = (1/Gamma(-s)) int (e^{-tL}u - u) dt/t^{1+s}.
 
     `source` is an EigenBasis (semigroup evaluated spectrally; the comparison
-    against the direct power then isolates the quadrature) or a
-    DiscreteOperator (semigroup by backward-Euler stepping, fully eigen-free;
-    the L-stable march is required because trapezoidal amplification does
-    not damp the far quadrature tail, and it caps the route at first-order
-    stepping accuracy, roughly percent level at the default step count).
+    against the direct power then isolates the quadrature) or a Dirichlet
+    DiscreteOperator, eigen-free: e^{-tL} becomes R^m, R = (I + (t/m) L)^{-1},
+    m = steps_per_node, and the sum is divided by the exact m-step constant
+    C_m(s) = Gamma(1-s) Gamma(m+s) / (s Gamma(m) m^s) (C_1 = pi/sin(pi s),
+    C_m -> |Gamma(-s)|).  Per node one banded Cholesky factor gives
+    u - R^m u = sum_{k<m} R^{k+1} ((t/m) L u) without cancellation, each
+    back-solve's backward error gated at _BACKWARD_ERROR_TOL; the rule of
+    `SingularQuadrature.for_spectrum` is calibrated for this integrand too.
     """
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
     if isinstance(source, EigenBasis):
         return source.apply_fn(lambda lam: _mode_balakrishnan(lam, s, q), u)
     op: DiscreteOperator = source
-    vec = op.restrict(u)
-    acc = np.zeros_like(vec)
+    if not op.bc.is_dirichlet:
+        raise QuadratureError("eigen-free balakrishnan_apply needs a positive definite operator")
+    if steps_per_node < 1:
+        raise QuadratureError("need steps_per_node >= 1")
+    m, L = steps_per_node, op.matrix
+    band, norm_L = _upper_band(L), abs(L).sum(axis=1).max()
+    Lu = L @ op.restrict(u)
+    acc = np.zeros_like(Lu)
     for t_j, w_j in zip(q.nodes, q.weights):
-        stepped = heat_apply_stepped(op, u, t_j, steps_per_node, "implicit")
-        acc += w_j * (op.restrict(stepped) - vec)
-    return op.embed(acc / gamma_fn(-s))
+        dt = t_j / m
+        ab = dt * band
+        ab[-1] += 1.0
+        chol, info = dpbtrf(ab)
+        if info != 0:
+            raise QuadratureError(f"Cholesky of I + {dt:.3e} L failed (info={info})")
+        v, node = dt * Lu, np.zeros_like(Lu)
+        for _ in range(m):
+            b, v = v, dpbtrs(chol, v)[0]
+            scale = (1.0 + dt * norm_L) * np.abs(v).max() + np.abs(b).max()
+            err = 0.0 if scale == 0.0 else np.abs(v + dt * (L @ v) - b).max() / scale
+            if not err <= _BACKWARD_ERROR_TOL:  # NaN fails too
+                raise QuadratureError(f"resolvent solve backward error {err:.3e} above {_BACKWARD_ERROR_TOL:g}")
+            node += v
+            if np.abs(v).max() <= np.finfo(float).eps * np.abs(node).max():  # terms shrink; the rest is rounding
+                break
+        acc += w_j * node
+    c_m = math.exp(gammaln(1 - s) + gammaln(m + s) - gammaln(m) - math.log(s) - s * math.log(m))
+    return op.embed(acc / c_m)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +692,7 @@ def boundary_factor_fit(kernel: KernelMatrix, phi0: GridFunction) -> dict:
     h = max(grid.spacing)
     pts = kernel.active_coords()
     p0 = phi0.restrict(basis.active_mask)
+    _check_memory((n + 5) * len(pts) ** 2, f"boundary factor pairs of {len(pts)} nodes")  # N^2 x dim, then 5 N^2
     D = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
     iu = np.triu_indices(len(pts), k=1)
     dist = D[iu]

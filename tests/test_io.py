@@ -1,0 +1,43 @@
+import numpy as np
+import pytest
+
+from fracell import CoefficientField, DIRICHLET, Grid, assemble, eigendecompose
+from fracell.io import fmt, write_kernel_csv
+from fracell.semigroup import heat_kernel
+
+
+def _kernel_2d(n):
+    g = Grid((1.0, 1.0), (n, n))
+    op = assemble(g, CoefficientField.from_callable(g, lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * x)), DIRICHLET)
+    return heat_kernel(eigendecompose(op), 0.01)
+
+
+def _joined_kernel_csv(kernel) -> str:
+    # the all-lines-in-memory form the streamed writer must reproduce byte for byte
+    lines = ["i,j,value"]
+    n = kernel.entries.shape[0]
+    for i in range(n):
+        for j in range(n):
+            lines.append(f"{i},{j},{fmt(kernel.entries[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def test_kernel_csv_bytes_match_the_joined_lines(tmp_path):
+    K = _kernel_2d(13)
+    path = tmp_path / "kernel.csv"
+    write_kernel_csv(path, K)
+    assert path.read_bytes() == _joined_kernel_csv(K).encode("utf-8")
+
+
+def test_kernel_csv_streams_its_rows(tmp_path):
+    import tracemalloc
+
+    K = _kernel_2d(24)
+    path = tmp_path / "kernel.csv"
+    tracemalloc.start()
+    try:
+        write_kernel_csv(path, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

@@ -35,6 +35,7 @@ from fracell.semigroup import (
 )
 
 from conftest import random_dirichlet_field
+from test_spectral import _rotated
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,90 @@ def test_balakrishnan_apply_eigenfree_route():
     semi = balakrishnan_apply(op, u, s, q, steps_per_node=128)
     spec = fractional_apply(basis, u, s)
     assert l2_norm(semi - spec) <= 2e-2 * l2_norm(spec)
+
+
+def _max_rel(got, ref):
+    return np.abs(got.values - ref.values).max() / np.abs(ref.values).max()
+
+
+def _eigenfree_vs_oracle(op, basis, u, s, **kw):
+    q = SingularQuadrature.for_spectrum(s, basis.lambda_min_positive, basis.lambda_max)
+    return _max_rel(balakrishnan_apply(op, u, s, q, **kw), fractional_apply(basis, u, s))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("coeff", ["identity", "sine"])
+def test_balakrishnan_apply_eigenfree_matches_oracle(coeff, s, request, rng):
+    # one banded Cholesky resolvent solve per node: the calibrated rule's
+    # accuracy, not first-order stepping, sets the error
+    op = request.getfixturevalue("op_dirichlet" if coeff == "identity" else "op_variable")
+    basis = request.getfixturevalue("basis_dirichlet" if coeff == "identity" else "basis_variable")
+    u = random_dirichlet_field(op, rng)
+    assert _eigenfree_vs_oracle(op, basis, u, s) <= 1e-8
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_balakrishnan_apply_eigenfree_steps_constant(op_variable, basis_variable, rng, steps):
+    # the m-step resolvent sum divided by its exact constant C_m(s) is
+    # m-independent; dividing by |Gamma(-s)| is off by ~s(1-s)/(2m)
+    u = random_dirichlet_field(op_variable, rng)
+    assert _eigenfree_vs_oracle(op_variable, basis_variable, u, 0.75, steps_per_node=steps) <= 1e-8
+
+
+def test_balakrishnan_apply_eigenfree_cross_term_2d(rng):
+    # a 9-point stencil: the band is read off the pattern (about nx wide)
+    g = Grid((1.0, 1.0), (24, 24))
+    op = assemble(g, _rotated(g), DIRICHLET)
+    basis = eigendecompose(op)
+    u = random_dirichlet_field(op, rng)
+    assert _eigenfree_vs_oracle(op, basis, u, 0.5) <= 1e-8
+
+
+def test_balakrishnan_apply_eigenfree_uses_no_eigensolver(op_variable, basis_variable, rng, monkeypatch):
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    u = random_dirichlet_field(op_variable, rng)
+    s = 0.5
+    q = SingularQuadrature.for_spectrum(s, basis_variable.lambda_min_positive, basis_variable.lambda_max)
+    ref = fractional_apply(basis_variable, u, s)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-free route called a decomposition")
+
+    for mod, name in [
+        (scipy.linalg, "eigh"),
+        (scipy.linalg, "eigh_tridiagonal"),
+        (scipy.sparse.linalg, "splu"),
+        (scipy.sparse.linalg, "factorized"),
+    ]:
+        monkeypatch.setattr(mod, name, refuse)
+    assert _max_rel(balakrishnan_apply(op_variable, u, s, q), ref) <= 1e-8
+
+
+def test_balakrishnan_apply_eigenfree_gates_backward_error(op_variable, basis_variable, rng, monkeypatch):
+    import fracell.semigroup as semigroup
+
+    exact = semigroup.dpbtrs
+    monkeypatch.setattr(semigroup, "dpbtrs", lambda c, b: (exact(c, b)[0] * (1.0 + 1e-9), 0))
+    q = SingularQuadrature.for_spectrum(0.5, basis_variable.lambda_min_positive, basis_variable.lambda_max)
+    with pytest.raises(QuadratureError, match="backward error"):
+        balakrishnan_apply(op_variable, random_dirichlet_field(op_variable, rng), 0.5, q)
+
+
+def test_balakrishnan_apply_eigenfree_refuses_neumann(op_neumann, basis_neumann, rng, monkeypatch):
+    # I + tL is singular in double once t ||L|| outgrows 1/eps; the route
+    # is refused by name before any factorization
+    import fracell.semigroup as semigroup
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored a singular operator")
+
+    monkeypatch.setattr(semigroup, "dpbtrf", refuse)
+    u = op_neumann.embed(rng.standard_normal(op_neumann.size))
+    q = SingularQuadrature.for_spectrum(0.5, basis_neumann.lambda_min_positive, basis_neumann.lambda_max)
+    with pytest.raises(QuadratureError, match="positive definite"):
+        balakrishnan_apply(op_neumann, u, 0.5, q)
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +460,12 @@ def test_poisson_kernel_matches_extension(basis_dirichlet):
     fd = U.values[j][mask]
     scale = np.abs(phi1.values).max()
     assert np.abs(via_kernel - fd).max() / scale <= 1e-2
+
+
+def test_boundary_factor_fit_checks_available_memory(basis_dirichlet, quad_half, monkeypatch):
+    from fracell import spectral
+
+    K = jump_kernel(basis_dirichlet, 0.5, quad_half)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 8.0 * K.entries.size)
+    with pytest.raises(spectral.DenseMemoryError, match="boundary factor pairs"):
+        boundary_factor_fit(K, basis_dirichlet.eigenfunction(0))
