@@ -197,8 +197,7 @@ def _eigenfree_vs_oracle(op, basis, u, s, **kw):
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("coeff", ["identity", "sine"])
 def test_balakrishnan_apply_eigenfree_matches_oracle(coeff, s, request, rng):
-    # one banded Cholesky resolvent solve per node: the calibrated rule's
-    # accuracy, not first-order stepping, sets the error
+    # one resolvent solve per node: the calibrated rule's accuracy sets the error
     op = request.getfixturevalue("op_dirichlet" if coeff == "identity" else "op_variable")
     basis = request.getfixturevalue("basis_dirichlet" if coeff == "identity" else "basis_variable")
     u = random_dirichlet_field(op, rng)
@@ -255,8 +254,8 @@ def test_balakrishnan_apply_eigenfree_gates_backward_error(op_variable, basis_va
 
 
 def test_balakrishnan_apply_eigenfree_refuses_neumann(op_neumann, basis_neumann, rng, monkeypatch):
-    # I + tL is singular in double once t ||L|| outgrows 1/eps; the route
-    # is refused by name before any factorization
+    # the constant mode makes Cholesky of I + tL break down at large t; the
+    # route is refused by name before any factorization
     import fracell.semigroup as semigroup
 
     def refuse(*args, **kwargs):
