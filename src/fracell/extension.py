@@ -31,8 +31,8 @@ import scipy.linalg as sla
 from scipy.special import gamma as gamma_fn, kv, kve
 
 from .grids import Grid, GridFunction, GridError
-from .operators import DiscreteOperator
-from .spectral import EigenBasis, eigendecompose
+from .operators import DiscreteOperator, _gate_backward_error
+from .spectral import EigenBasis, _check_memory, eigendecompose
 from .semigroup import SingularQuadrature, _mode_poisson
 
 __all__ = [
@@ -56,9 +56,6 @@ __all__ = [
 
 class ExtensionError(ValueError):
     """Extension-problem contract violation."""
-
-
-_BACKWARD_ERROR_TOL = 1e-12  # normwise backward error gate of the cylinder solve
 
 
 def dtn_constant_intro(s: float) -> float:
@@ -278,16 +275,20 @@ def _solve_cylinder(
     Separation of variables in the base `EigenBasis` (`eigendecompose(op)`
     if not given), which diagonalises K = op.matrix h^dim with eigenvalues
     h^dim lam_k: the basis transforms the rows, and each mode leaves one SPD
-    tridiagonal y-system (h^dim lam_k D + T) w_k = rhs_k.  A given trace is
+    tridiagonal y-system (h^dim lam_k D + T) w_k = rhs_k.  All of them are
+    the blocks of one block-diagonal tridiagonal (the coupling between two
+    blocks is exactly 0), solved by one LAPACK `ptsv` call.  A given trace is
     lifted out first (V = U - u, so V = 0 on row 0 and -u on the lid): the
     interior rows of T sum to zero, so the load becomes -D_j K u plus
     T[M-1, M] u on row M-1, and the increments U(y_j) - u that the DtN fit
     reads are solved for directly, not as differences of O(|u|) rows.  The
-    backward error is gated at _BACKWARD_ERROR_TOL (a wrong basis fails)."""
+    backward error is gated (a wrong basis fails)."""
+    M = mesh.layers
+    # traced peak: 5 to 5.6 (M+1) x N arrays (the load rows and the basis transforms)
+    _check_memory(6 * (M + 1) * op.grid.num_nodes, f"cylinder of {M + 1} layers x {op.size} base nodes")
     if basis is None:
         basis = eigendecompose(op)
     K = _base_stiffness(op)
-    M = mesh.layers
     first = 0 if trace_vec is None else 1
     T = _vertical_stiffness(mesh, op.grid.cell_volume)
     Tjj = T[first:M, first:M]
@@ -297,37 +298,22 @@ def _solve_cylinder(
     else:
         rhs = -D[:, None] * (K @ trace_vec)[None, :]
         rhs[-1] += T[M - 1, M] * trace_vec
-    R = basis.coefficients_batch(rhs)
+    R = basis.coefficients_batch(rhs).T.ravel()  # mode k's rows in block k
     lam = op.grid.cell_volume * basis.eigenvalues
-    band = np.zeros((2, M - first))
-    band[0, 1:] = Tjj.diagonal(1)
-    t_diag = Tjj.diagonal()
-    for k in range(lam.size):
-        band[1] = lam[k] * D + t_diag
-        R[:, k] = sla.solveh_banded(band, R[:, k])
-    V = basis.synthesize_batch(R)
-    err = _backward_error(K, D, Tjj, V, rhs)
-    if not err <= _BACKWARD_ERROR_TOL:  # NaN fails too
-        raise ExtensionError(
-            f"cylinder solve backward error {err:.3e} above {_BACKWARD_ERROR_TOL:g}"
-        )
+    band = np.zeros((2, lam.size, M - first))  # block k is lam_k D + Tjj; 0 couples two blocks
+    band[0, :, 1:] = Tjj.diagonal(1)
+    np.multiply(lam[:, None], D, out=band[1])
+    band[1] += Tjj.diagonal()
+    R = sla.solveh_banded(band.reshape(2, -1), R, overwrite_ab=True, overwrite_b=True)
+    del band  # freed before the transforms, which set the peak
+    V = basis.synthesize_batch(R.reshape(lam.size, -1).T)
+    norm_A = D.max() * abs(K).sum(axis=1).max() + abs(Tjj).sum(axis=1).max()  # bounds ||D (x) K + Tjj (x) I||
+    _gate_backward_error(D[:, None] * (K @ V.T).T + Tjj @ V - rhs, norm_A, V, rhs, "cylinder solve", ExtensionError)
     values = np.zeros((M + 1,) + op.grid.shape)
     values[first:M, op.active_mask] = V
     if trace_vec is not None:
         values[:M, op.active_mask] += trace_vec
     return ExtensionField(mesh, op, values)
-
-
-def _backward_error(
-    K: sp.csr_matrix, D: np.ndarray, Tjj: sp.csr_matrix, V: np.ndarray, rhs: np.ndarray
-) -> float:
-    """Normwise backward error ||A V - rhs|| / (||A|| ||V|| + ||rhs||) in the
-    max norm, for the tensor-product cylinder matrix A = D (x) K + Tjj (x) I
-    applied without forming it; ||A|| is bounded by max(D) ||K|| + ||Tjj||."""
-    resid = D[:, None] * (K @ V.T).T + Tjj @ V - rhs
-    norm_A = D.max() * abs(K).sum(axis=1).max() + abs(Tjj).sum(axis=1).max()
-    scale = norm_A * np.abs(V).max() + np.abs(rhs).max()
-    return 0.0 if scale == 0.0 else float(np.abs(resid).max() / scale)
 
 
 def _forcing_load(

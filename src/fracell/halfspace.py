@@ -306,7 +306,7 @@ def reduction_1d_check(
     independently solves the 1D problem; reports the max deviation over
     lateral positions (exact for tensor-product discrete operators).
     """
-    from .spectral import CompatibilityError, eigendecompose, fractional_solve
+    from .spectral import _KERNEL_RTOL, _MEAN_RTOL, CompatibilityError, eigendecompose, fractional_solve
 
     g_ver = phi.grid
     if g_ver.dim != 1:
@@ -328,8 +328,7 @@ def reduction_1d_check(
         scale = max(1.0, lam2[-1])
         mean = float(np.mean(g2))
         rms = float(np.sqrt(np.mean(g2**2)))
-        if rms > 0 and abs(mean) > 1e-10 * rms:
-            # mirror the 1D rejection: both routes refuse incompatible data
+        if rms > 0 and abs(mean) > _MEAN_RTOL * rms:  # both routes refuse incompatible data
             basis1 = eigendecompose(op_ver)
             try:
                 fractional_solve(basis1, phi, s)
@@ -337,7 +336,7 @@ def reduction_1d_check(
                 return {"rejected": True, "deviation": math.nan}
             raise HalfSpaceError("1D route accepted what the strip rejected")
         lam2 = lam2.copy()
-        lam2[np.abs(lam2) <= 1e-10 * scale] = 0.0
+        lam2[np.abs(lam2) <= _KERNEL_RTOL * scale] = 0.0
 
     c2 = V2.T @ g2
     pos = lam2 > 0

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grids import (
     BoundaryCondition,
@@ -62,12 +61,18 @@ class DiscreteOperator:
         d = self.matrix - self.matrix.T
         return float(abs(d).max()) if d.nnz else 0.0
 
-    def solve(self, f: GridFunction) -> GridFunction:
-        """Solve M u = f on the active nodes (Dirichlet only)."""
-        if not self.bc.is_dirichlet:
-            raise GridError("direct solve requires a positive definite operator")
-        vec = spla.spsolve(self.matrix.tocsc(), self.restrict(f))
-        return self.embed(vec)
+
+_BACKWARD_ERROR_TOL = 1e-12  # gate of every direct solve: the cylinder and each resolvent
+
+
+def _gate_backward_error(resid, norm_A: float, x, b, what: str, error: type) -> None:
+    """Raise `error` unless the normwise backward error ||r|| / (||A|| ||x|| + ||b||)
+    of a solve A x = b with residual r, in the max norm, is at most
+    _BACKWARD_ERROR_TOL (NaN fails too)."""
+    scale = norm_A * np.abs(x).max() + np.abs(b).max()
+    err = 0.0 if scale == 0.0 else float(np.abs(resid).max() / scale)
+    if not err <= _BACKWARD_ERROR_TOL:
+        raise error(f"{what} backward error {err:.3e} above {_BACKWARD_ERROR_TOL:g}")
 
 
 def _tridiagonal(w: np.ndarray, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import gamma as gamma_fn, gammaln
 
 from .grids import Grid, GridFunction
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, _gate_backward_error
 from .spectral import EigenBasis, _check_memory
 
 __all__ = [
@@ -56,9 +55,6 @@ __all__ = [
 
 class QuadratureError(ValueError):
     """Uncalibrated or inconsistent singular quadrature."""
-
-
-_BACKWARD_ERROR_TOL = 1e-12  # normwise backward error gate of each resolvent solve
 
 
 @dataclass(frozen=True)
@@ -243,26 +239,20 @@ def heat_apply_stepped(
 ) -> GridFunction:
     """Implicit time stepping for e^{-tL} u, eigen-free cross-check.
 
-    scheme "trapezoidal" (Crank-Nicolson, order 2) or "implicit"
-    (backward Euler, order 1; positivity preserving for the M-matrix
-    stencils, hence maximum-principle safe).
+    scheme "trapezoidal" (Crank-Nicolson, order 2: v -> R(v - (dt/2) L v),
+    R = (I + (dt/2) L)^{-1}) or "implicit" (backward Euler, order 1:
+    v -> (I + dt L)^{-1} v; positivity preserving for the M-matrix stencils,
+    hence maximum-principle safe).  One `_resolvent` factor serves every step.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
     if scheme not in ("trapezoidal", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    dt = t / steps
-    ident = sp.identity(op.size, format="csc")
-    vec = op.restrict(u)
-    if scheme == "trapezoidal":
-        lhs = spla.factorized((ident + 0.5 * dt * op.matrix).tocsc())
-        rhs_mat = ident - 0.5 * dt * op.matrix
-        for _ in range(steps):
-            vec = lhs(rhs_mat @ vec)
-    else:
-        lhs = spla.factorized((ident + dt * op.matrix).tocsc())
-        for _ in range(steps):
-            vec = lhs(vec)
+    L, vec = op.matrix, op.restrict(u)
+    h = t / steps if scheme == "implicit" else 0.5 * t / steps
+    solve = _resolvent(L, _upper_band(L), abs(L).sum(axis=1).max(), h)
+    for _ in range(steps):
+        vec = solve(vec if scheme == "implicit" else vec - h * (L @ vec))
     return op.embed(vec)
 
 
@@ -274,6 +264,25 @@ def _upper_band(matrix: sp.csr_matrix) -> np.ndarray:
     ab = np.zeros((kd + 1, matrix.shape[0]), order="F")
     ab[kd + U.row - U.col, U.col] = U.data
     return ab
+
+
+def _resolvent(L: sp.csr_matrix, band: np.ndarray, norm_L: float, dt: float):
+    """b -> (I + dt L)^{-1} b for a symmetric L with upper band `band`
+    (`_upper_band`) and max-norm `norm_L`: one banded Cholesky factor
+    (`dpbtrf`), then per call one back-solve (`dpbtrs`) whose backward error
+    is gated (||I + dt L|| <= 1 + dt norm_L)."""
+    ab = dt * band
+    ab[-1] += 1.0
+    chol, info = dpbtrf(ab)
+    if info != 0:
+        raise QuadratureError(f"Cholesky of I + {dt:.3e} L failed (info={info})")
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        v = dpbtrs(chol, b)[0]
+        _gate_backward_error(v + dt * (L @ v) - b, 1.0 + dt * norm_L, v, b, "resolvent solve", QuadratureError)
+        return v
+
+    return solve
 
 
 def balakrishnan_apply(
@@ -292,7 +301,7 @@ def balakrishnan_apply(
     C_m(s) = Gamma(1-s) Gamma(m+s) / (s Gamma(m) m^s) (C_1 = pi/sin(pi s),
     C_m -> |Gamma(-s)|).  Per node one banded Cholesky factor gives
     u - R^m u = sum_{k<m} R^{k+1} ((t/m) L u) without cancellation, each
-    back-solve's backward error gated at _BACKWARD_ERROR_TOL; the rule of
+    back-solve's backward error gated (`_resolvent`); the rule of
     `SingularQuadrature.for_spectrum` is calibrated for this integrand too.
     """
     if q.exponent != s:
@@ -310,18 +319,10 @@ def balakrishnan_apply(
     acc = np.zeros_like(Lu)
     for t_j, w_j in zip(q.nodes, q.weights):
         dt = t_j / m
-        ab = dt * band
-        ab[-1] += 1.0
-        chol, info = dpbtrf(ab)
-        if info != 0:
-            raise QuadratureError(f"Cholesky of I + {dt:.3e} L failed (info={info})")
+        solve = _resolvent(L, band, norm_L, dt)
         v, node = dt * Lu, np.zeros_like(Lu)
         for _ in range(m):
-            b, v = v, dpbtrs(chol, v)[0]
-            scale = (1.0 + dt * norm_L) * np.abs(v).max() + np.abs(b).max()
-            err = 0.0 if scale == 0.0 else np.abs(v + dt * (L @ v) - b).max() / scale
-            if not err <= _BACKWARD_ERROR_TOL:  # NaN fails too
-                raise QuadratureError(f"resolvent solve backward error {err:.3e} above {_BACKWARD_ERROR_TOL:g}")
+            v = solve(v)
             node += v
             if np.abs(v).max() <= np.finfo(float).eps * np.abs(node).max():  # terms shrink; the rest is rounding
                 break

@@ -46,6 +46,11 @@ class DenseMemoryError(SpectralError):
     """Eigenvector or kernel arrays that would not fit in the available memory."""
 
 
+_RESIDUAL_TOL = 1e-8  # eigenpair residual gate, relative to max(lambda_max, 1)
+_KERNEL_RTOL = 1e-10  # a Neumann eigenvalue this small relative to max(lambda_max, 1) is the kernel's 0
+_MEAN_RTOL = 1e-10  # a Neumann datum with |mean| above this times its RMS is incompatible
+
+
 @dataclass(frozen=True)
 class EigenBasis:
     """Ascending eigenpairs of a discrete operator, kept as factors.
@@ -193,7 +198,7 @@ def _check_memory(floats: int, what: str) -> None:
         raise DenseMemoryError(f"{what} needs ~{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available")
 
 
-def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBasis:
+def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     """Symmetric eigendecomposition of the active-node operator.
 
     A Kronecker sum T_x (x) I + diag(b) (x) T_y (every 1D operator; see
@@ -232,7 +237,7 @@ def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBas
             raise SpectralError(f"Dirichlet operator not positive definite: lambda0={lam[0]}")
     else:
         scale = max(1.0, lam[-1])
-        if abs(lam[0]) > 1e-10 * scale:
+        if abs(lam[0]) > _KERNEL_RTOL * scale:
             raise SpectralError(f"Neumann kernel eigenvalue too large: {lam[0]}")
         lam = lam.copy()
         lam[0] = 0.0
@@ -246,10 +251,8 @@ def eigendecompose(op: DiscreteOperator, residual_tol: float = 1e-8) -> EigenBas
     basis = EigenBasis(op.grid, op.bc, op.grid.active_mask(op.bc), lam, Q, X, order, w)
     res = basis.residual(op)
     scale = max(basis.lambda_max, 1.0)
-    if res > residual_tol * scale:
-        raise SpectralError(
-            f"eigensolver residual {res:.3e} exceeds {residual_tol:.1e}*lambda_max"
-        )
+    if res > _RESIDUAL_TOL * scale:
+        raise SpectralError(f"eigensolver residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e}*lambda_max")
     return basis
 
 
@@ -270,11 +273,10 @@ def fractional_apply(basis: EigenBasis, u: GridFunction, s: float) -> GridFuncti
     return basis.apply_fn(lambda lam: lam**s, u)
 
 
-def fractional_solve(basis: EigenBasis, f: GridFunction, s: float,
-                     mean_rtol: float = 1e-10) -> GridFunction:
+def fractional_solve(basis: EigenBasis, f: GridFunction, s: float) -> GridFunction:
     """Solve L^s u = f through the eigenexpansion: u = sum lambda_k^{-s} f_k phi_k.
 
-    Neumann data must be compatible (zero mean up to `mean_rtol` relative to
+    Neumann data must be compatible (zero mean up to `_MEAN_RTOL` relative to
     the RMS of f); the solution is returned with zero mean (pseudo-inverse:
     the kernel mode gets the factor 0).
     """
@@ -283,7 +285,7 @@ def fractional_solve(basis: EigenBasis, f: GridFunction, s: float,
     if not basis.bc.is_dirichlet:
         rms = float(np.sqrt(np.mean(vec**2)))
         mean = float(np.mean(vec))
-        if rms > 0 and abs(mean) > mean_rtol * rms:
+        if rms > 0 and abs(mean) > _MEAN_RTOL * rms:
             raise CompatibilityError(
                 f"Neumann datum has nonzero mean {mean:.3e} (rms {rms:.3e}); "
                 "solvability requires a mean-free right hand side"

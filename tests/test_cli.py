@@ -116,10 +116,16 @@ def test_each_extension_level_decomposes_its_base_once(tmp_path, monkeypatch, ar
 
 
 def test_console_entry_point(tmp_path):
+    # the child runs the package under test, also where only pytest's pythonpath finds it
+    import fracell
+
+    src = os.path.dirname(os.path.dirname(fracell.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "fracell.cli", "halfline", "--s=0.25", f"--out={tmp_path}"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
@@ -173,6 +179,18 @@ def test_dense_request_past_available_memory_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'nodes':")
     assert "kernel matrix" in err
+
+
+def test_cylinder_past_available_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # memory for the eigenbasis check (3 n^2 floats, n = 32 interior nodes)
+    # and little more: the 65-layer cylinder is refused before its load rows
+    from fracell import spectral
+
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1.01 * 8 * 3 * 32**2)
+    assert main(["extension", "--nodes=34", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nodes':")
+    assert "cylinder of 65 layers x 32 base nodes" in err
 
 
 @pytest.mark.parametrize(

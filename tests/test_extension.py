@@ -27,6 +27,8 @@ from fracell import (
 from fracell.extension import (
     ExtensionError,
     _base_stiffness,
+    _forcing_load,
+    _vertical_stiffness,
     caccioppoli_check,
     dtn_constant_divform,
     dtn_constant_intro,
@@ -450,6 +452,57 @@ def test_cylinder_solves_transform_through_the_base_eigenbasis(shape, bc, monkey
                 solve_extension_forced(op, mesh, forcing, given).values,
                 solve_extension_forced(op, mesh, forcing).values,
             )
+
+
+def _per_mode_cylinder(op, mesh, trace_vec, load, basis):
+    """The cylinder solve with one `solveh_banded` call per base mode, the
+    loop that one block-diagonal call replaced (no gate)."""
+    import scipy.linalg as sla
+
+    K, M = _base_stiffness(op), mesh.layers
+    first = 0 if trace_vec is None else 1
+    T = _vertical_stiffness(mesh, op.grid.cell_volume)
+    Tjj, D = T[first:M, first:M], mesh.node_weights()[first:M]
+    if trace_vec is None:
+        rhs = load[:M]
+    else:
+        rhs = -D[:, None] * (K @ trace_vec)[None, :]
+        rhs[-1] += T[M - 1, M] * trace_vec
+    R = basis.coefficients_batch(rhs)
+    lam = op.grid.cell_volume * basis.eigenvalues
+    band = np.zeros((2, M - first))
+    band[0, 1:] = Tjj.diagonal(1)
+    for k in range(lam.size):
+        band[1] = lam[k] * D + Tjj.diagonal()
+        R[:, k] = sla.solveh_banded(band, R[:, k])
+    values = np.zeros((M + 1,) + op.grid.shape)
+    values[first:M, op.active_mask] = basis.synthesize_batch(R)
+    if trace_vec is not None:
+        values[:M, op.active_mask] += trace_vec
+    return values
+
+
+@pytest.mark.parametrize("shape", [(65,), (13, 11)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_one_call_cylinder_solve_equals_the_per_mode_loop(shape, bc):
+    # the blocks of one tridiagonal are coupled by exact zeros, so LAPACK's
+    # ptsv recurrence restarts at each block: every bit matches the loop
+    g, op = _sine_base(shape, bc)
+    basis = eigendecompose(op)
+    mesh = ExtensionMesh.build(g, 0.4, 16, height=3.0)
+    M = mesh.layers
+    u = GridFunction.from_callable(g, lambda *x: np.cos(2.0 * x[0]) + sum(x))
+    given = solve_extension(op, u, mesh, basis).values
+    assert np.array_equal(given, _per_mode_cylinder(op, mesh, op.restrict(u), None, basis))
+
+    load = np.zeros((M + 1, op.size))
+    load[0] = g.cell_volume * op.restrict(u)
+    horizontal = None
+    if g.dim == 1:  # a horizontal field F as well
+        horizontal = (np.outer(np.sin(3.0 * g.axis_coords(0)[:-1]), np.exp(-mesh.y_nodes)),)
+        load += _forcing_load(op, mesh, horizontal)
+    forced = solve_extension_forced(op, mesh, ForcingData(horizontal, u), basis).values
+    assert np.array_equal(forced, _per_mode_cylinder(op, mesh, None, load, basis))
 
 
 def test_basis_of_another_operator_fails_the_backward_error_gate():

@@ -147,6 +147,38 @@ def test_stepped_march_neumann_preserves_constants(op_neumann, grid_1d):
     assert np.abs(out.values - 1.0).max() <= 1e-10
 
 
+def test_stepped_march_on_a_cross_term_field_uses_no_superlu(monkeypatch):
+    # every step is a back-solve with one banded Cholesky factor (a 9-point
+    # stencil: band about nx); both schemes keep their order against the
+    # spectral semigroup
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped march called SuperLU")
+
+    for name in ("splu", "factorized", "spsolve"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
+    g = Grid((1.0, 1.0), (24, 24))
+    op = assemble(g, _rotated(g), DIRICHLET)
+    basis = eigendecompose(op)
+    u = basis.eigenfunction(0) + 0.5 * basis.eigenfunction(3)
+    exact = heat_apply(basis, u, 0.01)
+    for scheme, order, tol in (("trapezoidal", 2, 2e-6), ("implicit", 1, 1e-3)):
+        errs = [l2_norm(heat_apply_stepped(op, u, 0.01, n, scheme) - exact) / l2_norm(exact) for n in (8, 16, 32)]
+        assert errs[-1] <= tol
+        assert np.allclose(np.log2(np.asarray(errs[:-1]) / errs[1:]), order, atol=0.15)
+
+
+@pytest.mark.parametrize("scheme", ["trapezoidal", "implicit"])
+def test_stepped_march_gates_backward_error(op_variable, rng, monkeypatch, scheme):
+    import fracell.semigroup as semigroup
+
+    exact = semigroup.dpbtrs
+    monkeypatch.setattr(semigroup, "dpbtrs", lambda c, b: (exact(c, b)[0] * (1.0 + 1e-9), 0))
+    with pytest.raises(QuadratureError, match="backward error"):
+        heat_apply_stepped(op_variable, random_dirichlet_field(op_variable, rng), 0.01, 4, scheme)
+
+
 def test_balakrishnan_apply_matches_spectral(basis_dirichlet, op_dirichlet, rng, quad_half):
     u = random_dirichlet_field(op_dirichlet, rng)
     semi = balakrishnan_apply(basis_dirichlet, u, 0.5, quad_half)
