@@ -337,17 +337,21 @@ def hs_seminorm(u: GridFunction, s: float) -> float:
     """Discrete Gagliardo H^s seminorm.
 
     Double sum over node pairs of (u(x)-u(z))^2 / |x-z|^(n+2s) weighted by
-    the cell volume squared; zero iff u is constant.
+    the cell volume squared; zero iff u is constant.  Summed by 256-row
+    blocks, so no N x N temporary is formed.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0,1), got {s}")
     grid = u.grid
-    pts = np.stack([c.ravel() for c in grid.coords()], axis=1)
+    coords = [c.ravel() for c in grid.coords()]
     vals = u.values.ravel()
-    diff2 = (vals[:, None] - vals[None, :]) ** 2
-    dist2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(dist2, 1.0)  # diagonal terms vanish in the numerator
     power = 0.5 * (grid.dim + 2.0 * s)
-    integrand = diff2 / dist2**power
-    np.fill_diagonal(integrand, 0.0)
-    return float(grid.cell_volume**2 * integrand.sum())
+    total = 0.0
+    for i in range(0, vals.size, 256):
+        blk = slice(i, i + 256)
+        diff2 = (vals[blk, None] - vals[None, :]) ** 2
+        dist2 = sum((c[blk, None] - c[None, :]) ** 2 for c in coords)
+        rows = np.arange(len(dist2))
+        dist2[rows, i + rows] = 1.0  # diagonal terms vanish in the numerator
+        total += float((diff2 / dist2**power).sum())
+    return grid.cell_volume**2 * total

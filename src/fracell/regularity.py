@@ -11,7 +11,6 @@ Modes:
                    ball, matching the pointwise Campanato definition)
     "linear"       subtract the per-ball best affine function (gradient
                    regimes, exponents in (1, 2))
-    "raw"          subtract nothing
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ __all__ = [
     "lp_spike",
 ]
 
-MODES = ("oscillation", "linear", "raw")
+MODES = ("oscillation", "linear")
 
 
 class ProbeError(ValueError):
@@ -65,7 +64,6 @@ class CampanatoProbe:
     radii: tuple[float, ...]
     alpha: float
     mode: str = "oscillation"
-    drop_smallest: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -123,9 +121,7 @@ def _subtracted_square_mean(vals, pts, mask, center, mode, center_value=None):
     definition); "linear" subtracts the best affine per ball.
     """
     v = vals[mask]
-    if mode == "raw":
-        w = v
-    elif mode == "oscillation":
+    if mode == "oscillation":
         w = v - (float(np.mean(v)) if center_value is None else center_value)
     else:  # linear: best affine per ball
         dx = pts[mask] - np.asarray(center)[None, :]
@@ -139,7 +135,7 @@ def campanato_seminorm(f: GridFunction, probe: CampanatoProbe) -> float:
     """sup_r r^{-(n+2 alpha)} int_{B_r} |f - f(x0)|^2 over the probe radii.
 
     f(x0) is the average over the smallest ball (the pointwise Campanato
-    definition); modes "linear"/"raw" swap the subtraction accordingly.
+    definition); mode "linear" subtracts the best affine function instead.
     """
     grid = f.grid
     n = grid.dim
@@ -179,11 +175,6 @@ def interior_exponent(u: GridFunction, probe: CampanatoProbe) -> ExponentFit:
     ceiling), reported rather than fitted.
     """
     rs, osc2 = _oscillation_curve(u, probe)
-    if probe.drop_smallest:
-        rs = rs[: -probe.drop_smallest]
-        osc2 = osc2[: -probe.drop_smallest]
-    if rs.size < 4:
-        raise ProbeError("not enough radii left for the fit")
     scale = float(np.max(np.abs(u.values))) ** 2
     floor = 1e-24 * max(scale, 1e-300)
     if np.any(osc2 <= floor):
@@ -244,7 +235,6 @@ def dirichlet_layer_split(
     w_oracle,
     boundary_point: tuple[float, ...],
     fit_window: tuple[float, float],
-    f_zero_tol: float = 0.0,
 ) -> GridFunction:
     """Subtract the half-space boundary-layer profile: v = u - beta w.
 
@@ -258,7 +248,7 @@ def dirichlet_layer_split(
     grid = u.grid
     x0 = np.asarray(boundary_point, dtype=float)
     fv = _value_at(f, x0)
-    if abs(fv) <= f_zero_tol:
+    if fv == 0.0:
         return GridFunction(grid, u.values.copy())
     dist = _distance_to_face(grid, x0)
     w_field = np.zeros(grid.shape)

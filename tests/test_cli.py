@@ -115,20 +115,39 @@ def test_each_extension_level_decomposes_its_base_once(tmp_path, monkeypatch, ar
     assert len(seen) == len(set(seen)) == calls
 
 
-def test_console_entry_point(tmp_path):
+def _child_env() -> dict:
     # the child runs the package under test, also where only pytest's pythonpath finds it
     import fracell
 
     src = os.path.dirname(os.path.dirname(fracell.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fracell.cli", "halfline", "--s=0.25", f"--out={tmp_path}"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_import_skips_scipy_integrate():
+    # every command pays for what `import fracell.cli` loads
+    probe = "import sys, fracell.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_halfline_smallest_s_carries_its_slope(tmp_path):
+    # at the lower bound s = 1e-9, u = x^{2s}/s varies by ~1e-8 relative over
+    # the evaluation points; the values still carry the slope 2s
+    assert main(["halfline", "--s=1e-9", f"--out={tmp_path}"]) == 0
+    slope = json.loads((tmp_path / "halfline_report.json").read_text())["slope"]
+    assert slope == pytest.approx(2e-9, rel=1e-4)
 
 
 @pytest.mark.parametrize(

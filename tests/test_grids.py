@@ -112,6 +112,20 @@ def test_hs_seminorm_matches_brute_force():
     assert hs_seminorm(u, s) == pytest.approx(oracle, rel=1e-13)
 
 
+@pytest.mark.parametrize("shape", [(600,), (23, 29)])
+def test_hs_seminorm_blocked_sum_matches_dense(shape, rng):
+    # dense N x N reference; both grids span several 256-row blocks
+    g = Grid((1.0,) * len(shape), shape)
+    u = GridFunction(g, rng.standard_normal(shape))
+    pts = np.stack([c.ravel() for c in g.coords()], axis=1)
+    vals = u.values.ravel()
+    dist2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(dist2, 1.0)
+    for s in (0.1, 0.5, 0.9):
+        dense = g.cell_volume**2 * np.sum((vals[:, None] - vals[None, :]) ** 2 / dist2 ** (0.5 * g.dim + s))
+        assert hs_seminorm(u, s) == pytest.approx(dense, rel=1e-13)
+
+
 def test_hs_seminorm_triangle_inequality(rng):
     g = Grid((1.0,), (17,))
     for _ in range(5):

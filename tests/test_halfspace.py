@@ -198,6 +198,28 @@ def test_halfline_log_case_residual():
     assert np.abs(vals - c * cf).max() / np.abs(vals).max() <= 1e-6
 
 
+@pytest.mark.parametrize("s", [1e-4, 1e-3, 0.01, 0.1, 0.25, 0.4])
+def test_halfline_constant_datum_exact_values(s):
+    # with the unit kernel constant, u(x) = x^{2s} / s
+    xs = np.geomspace(1e-3, 1e-1, 12)
+    vals = halfline_inverse_quadrature(HalfLineProblem(s, RHS_ONE), xs)
+    assert np.abs(vals / (xs ** (2 * s) / s) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.5, 0.6, 0.75, 0.99])
+def test_halfline_indicator_exact_values(s):
+    # with the unit kernel constant, u = closed form / (2s), and at s = 1/2 u = closed form
+    p = HalfLineProblem(s, RHS_INDICATOR)
+    xs = np.linspace(0.05, 0.45, 9)
+    exact = closed_form_halfline(p, xs) / (1.0 if s == 0.5 else 2.0 * s)
+    assert np.abs(halfline_inverse_quadrature(p, xs) / exact - 1.0).max() <= 1e-12
+
+
+def test_halfline_indicator_needs_points_inside_support():
+    with pytest.raises(HalfSpaceError):
+        halfline_inverse_quadrature(HalfLineProblem(0.75, RHS_INDICATOR), [1.5])
+
+
 def test_log_constant_oracle():
     assert abs(interior_log_constant(numeric=True) - 3.0 * math.log(3.0)) <= 1e-8
 
