@@ -50,6 +50,7 @@ from .extension import (
     solve_extension,
     solve_extension_forced,
     dtn_extract,
+    extension_multipliers,
     extension_energy,
     extension_series_eval,
     bessel_k,
@@ -94,6 +95,7 @@ __all__ = [
     "solve_extension",
     "solve_extension_forced",
     "dtn_extract",
+    "extension_multipliers",
     "extension_energy",
     "extension_series_eval",
     "bessel_k",

@@ -42,6 +42,7 @@ __all__ = [
     "solve_extension",
     "solve_extension_forced",
     "dtn_extract",
+    "extension_multipliers",
     "dtn_constant_intro",
     "dtn_constant_divform",
     "dtn_constants_relation_defect",
@@ -197,11 +198,6 @@ class ExtensionMesh:
         yq = self.y_nodes**q
         return q / np.diff(yq)
 
-    def refine(self) -> "ExtensionMesh":
-        return ExtensionMesh.build(
-            self.base.refine(), self.s, 2 * self.layers, self.height, self.gamma_mesh
-        )
-
 
 @dataclass(frozen=True)
 class ExtensionField:
@@ -224,9 +220,6 @@ class ExtensionField:
 
     def trace(self) -> GridFunction:
         return GridFunction(self.mesh.base, self.values[0].copy())
-
-    def layer(self, j: int) -> GridFunction:
-        return GridFunction(self.mesh.base, self.values[j].copy())
 
 
 @dataclass(frozen=True)
@@ -261,6 +254,19 @@ def _vertical_stiffness(mesh: ExtensionMesh, vol: float) -> sp.csr_matrix:
     return sp.diags([-kap, diag, -kap], offsets=[-1, 0, 1], format="csr") * vol
 
 
+def _y_systems(mesh: ExtensionMesh, lam: np.ndarray, first: int):
+    """The y-systems lam_k D + T (rows first..M-1, lam_k = h^dim lambda_k) as the blocks of
+    one tridiagonal in `solveh_banded`'s upper layout, coupled by exact zeros; and D, T."""
+    M = mesh.layers
+    T = _vertical_stiffness(mesh, mesh.base.cell_volume)
+    D = mesh.node_weights()[first:M]
+    band = np.zeros((2, lam.size, M - first))
+    band[0, :, 1:] = T.diagonal(1)[first : M - 1]
+    np.multiply(lam[:, None], D, out=band[1])
+    band[1] += T.diagonal()[first:M]
+    return band.reshape(2, -1), D, T
+
+
 def _solve_cylinder(
     op: DiscreteOperator,
     mesh: ExtensionMesh,
@@ -274,12 +280,10 @@ def _solve_cylinder(
 
     Separation of variables in the base `EigenBasis` (`eigendecompose(op)`
     if not given), which diagonalises K = op.matrix h^dim with eigenvalues
-    h^dim lam_k: the basis transforms the rows, and each mode leaves one SPD
-    tridiagonal y-system (h^dim lam_k D + T) w_k = rhs_k.  All of them are
-    the blocks of one block-diagonal tridiagonal (the coupling between two
-    blocks is exactly 0), solved by one LAPACK `ptsv` call.  A given trace is
-    lifted out first (V = U - u, so V = 0 on row 0 and -u on the lid): the
-    interior rows of T sum to zero, so the load becomes -D_j K u plus
+    h^dim lam_k: the basis transforms the rows, and the y-systems of all
+    modes (`_y_systems`) are solved by one LAPACK `ptsv` call.  A given trace
+    is lifted out first (V = U - u, so V = 0 on row 0 and -u on the lid):
+    the interior rows of T sum to zero, so the load becomes -D_j K u plus
     T[M-1, M] u on row M-1, and the increments U(y_j) - u that the DtN fit
     reads are solved for directly, not as differences of O(|u|) rows.  The
     backward error is gated (a wrong basis fails)."""
@@ -290,23 +294,17 @@ def _solve_cylinder(
         basis = eigendecompose(op)
     K = _base_stiffness(op)
     first = 0 if trace_vec is None else 1
-    T = _vertical_stiffness(mesh, op.grid.cell_volume)
+    band, D, T = _y_systems(mesh, op.grid.cell_volume * basis.eigenvalues, first)
     Tjj = T[first:M, first:M]
-    D = mesh.node_weights()[first:M]
     if trace_vec is None:
         rhs = load[:M]
     else:
         rhs = -D[:, None] * (K @ trace_vec)[None, :]
         rhs[-1] += T[M - 1, M] * trace_vec
     R = basis.coefficients_batch(rhs).T.ravel()  # mode k's rows in block k
-    lam = op.grid.cell_volume * basis.eigenvalues
-    band = np.zeros((2, lam.size, M - first))  # block k is lam_k D + Tjj; 0 couples two blocks
-    band[0, :, 1:] = Tjj.diagonal(1)
-    np.multiply(lam[:, None], D, out=band[1])
-    band[1] += Tjj.diagonal()
-    R = sla.solveh_banded(band.reshape(2, -1), R, overwrite_ab=True, overwrite_b=True)
+    R = sla.solveh_banded(band, R, overwrite_ab=True, overwrite_b=True)
     del band  # freed before the transforms, which set the peak
-    V = basis.synthesize_batch(R.reshape(lam.size, -1).T)
+    V = basis.synthesize_batch(R.reshape(basis.size, -1).T)
     norm_A = D.max() * abs(K).sum(axis=1).max() + abs(Tjj).sum(axis=1).max()  # bounds ||D (x) K + Tjj (x) I||
     _gate_backward_error(D[:, None] * (K @ V.T).T + Tjj @ V - rhs, norm_A, V, rhs, "cylinder solve", ExtensionError)
     values = np.zeros((M + 1,) + op.grid.shape)
@@ -314,6 +312,31 @@ def _solve_cylinder(
     if trace_vec is not None:
         values[:M, op.active_mask] += trace_vec
     return ExtensionField(mesh, op, values)
+
+
+def extension_multipliers(mesh: ExtensionMesh, lam) -> tuple[np.ndarray, np.ndarray]:
+    """DtN value g(lam) and h^dim times the energy e(lam) of the extension of a
+    unit base eigenmode phi with eigenvalue lam: for u = sum_k c_k phi_k,
+    dtn_extract(solve_extension(u)) is sum_k g(lam_k) c_k phi_k and
+    extension_energy is sum_k e(lam_k) c_k^2 / h^dim.  The mode extends as
+    phi (x) (1 + v), v_0 = 0, v_M = -1, (h^dim lam D + T)(1 + v) = 0 on the rows
+    1..M-1; the increments v, which the DtN fit reads, take one gated solve."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    M, vol = mesh.layers, mesh.base.cell_volume
+    _check_memory(8 * lam.size * M, f"y-systems of a cylinder of {M + 1} layers x {lam.size} base nodes")  # ~8 arrays
+    band, D, T = _y_systems(mesh, vol * lam, 1)
+    rhs = -vol * lam[:, None] * D
+    rhs[:, -1] += T[M - 1, M]
+    v = sla.solveh_banded(band, rhs.ravel()).reshape(rhs.shape)
+    Tjj = T[1:M, 1:M]
+    norm_A = vol * lam.max() * D.max() + abs(Tjj).sum(axis=1).max()
+    resid = vol * lam[:, None] * D * v + (Tjj @ v.T).T - rhs
+    _gate_backward_error(resid, norm_A, v, rhs, "extension multiplier solve", ExtensionError)
+    g = v[:, :4] @ _dtn_fit(mesh, 4)
+    v = np.pad(v, ((0, 0), (1, 0)))  # w - 1 on the rows 0..M-1; -1 on the lid
+    e = vol * lam * ((1.0 + v) ** 2 @ mesh.node_weights()[:M])
+    e += vol * (np.diff(v, axis=1, append=-1.0) ** 2 @ mesh.face_kappa())
+    return g, e
 
 
 def _forcing_load(
@@ -374,45 +397,33 @@ def solve_extension_forced(
     return _solve_cylinder(op, mesh, None, load, basis)
 
 
-def dtn_extract(
-    field: ExtensionField,
-    s: float,
-    n_layers: int = 4,
-    return_residual: bool = False,
-):
+def dtn_extract(field: ExtensionField, s: float, n_layers: int = 4) -> GridFunction:
     """Recover L^s u from the extension by the incremental-quotient fit.
 
     Least squares of U(x, y) - U(x, 0) against {y^{2s}, y^2} on the first
     `n_layers` positive layers; the quadratic column is a nuisance term
     that removes the leading regular contamination of the y^{2s}
     coefficient beta(x) (a pure single-term fit leaves an O(y^{2-2s})
-    error that dominates for s > 1/2).  Returns
-    -beta / dtn_constant_intro(s) as a grid function, optionally with the
-    per-node relative fit residual.
+    error that dominates for s > 1/2).  Returns -beta / dtn_constant_intro(s).
     """
     mesh = field.mesh
     if not math.isclose(s, mesh.s, rel_tol=1e-12):
         raise ExtensionError(f"field was solved for s={mesh.s}, asked s={s}")
     if n_layers < 2 or n_layers > mesh.layers - 1:
         raise ExtensionError("n_layers out of range (need >= 2 for the fit)")
-    y = mesh.y_nodes[1 : n_layers + 1]
-    # columns scaled to comparable size to keep the tiny graded layers
-    # from making the normal equations singular
-    scale_s, scale_2 = y[-1] ** (2.0 * s), y[-1] ** 2
-    A = np.stack([y ** (2.0 * s) / scale_s, y**2 / scale_2], axis=1)
     diffs = field.values[1 : n_layers + 1] - field.values[0][None, ...]
-    rhs = diffs.reshape(n_layers, -1)
-    coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    beta = (coef[0] / scale_s).reshape(mesh.base.shape)
-    out = GridFunction(mesh.base, -beta / dtn_constant_intro(s))
-    if not return_residual:
-        return out
-    resid = rhs - A @ coef
-    scale = np.sqrt(np.sum(rhs**2, axis=0))
-    rel = np.zeros_like(scale)
-    nz = scale > 0
-    rel[nz] = np.sqrt(np.sum(resid**2, axis=0))[nz] / scale[nz]
-    return out, GridFunction(mesh.base, rel.reshape(mesh.base.shape))
+    return GridFunction(mesh.base, np.tensordot(_dtn_fit(mesh, n_layers), diffs, axes=1))
+
+
+def _dtn_fit(mesh: ExtensionMesh, n_layers: int) -> np.ndarray:
+    """The row of `dtn_extract`'s fit that maps the increments U(y_j) - u,
+    j = 1..n_layers, to -beta / dtn_constant_intro(s); the columns y^{2s}
+    and y^2 are scaled to 1 at y_n so the tiny graded layers keep the
+    least-squares problem well conditioned."""
+    s, y_n = mesh.s, mesh.y_nodes[n_layers]
+    y = mesh.y_nodes[1 : n_layers + 1] / y_n
+    pinv = np.linalg.pinv(np.stack([y ** (2.0 * s), y**2], axis=1))
+    return -pinv[0] / (y_n ** (2.0 * s) * dtn_constant_intro(s))
 
 
 def extension_energy(field: ExtensionField) -> float:
@@ -423,15 +434,9 @@ def extension_energy(field: ExtensionField) -> float:
     """
     op = field.op
     mesh = field.mesh
-    K = _base_stiffness(op)
-    V = mesh.node_weights()
-    kap = mesh.face_kappa()
-    vol = op.grid.cell_volume
-    mask = op.active_mask
-    rows = np.stack([field.values[j][mask] for j in range(mesh.layers + 1)])
-    horiz = float(sum(V[j] * rows[j] @ (K @ rows[j]) for j in range(mesh.layers + 1)))
-    dz = np.diff(rows, axis=0)
-    vert = float(np.sum(kap[:, None] * dz**2) * vol)
+    rows = field.values[:, op.active_mask]  # (M+1, active nodes)
+    horiz = float(mesh.node_weights() @ np.einsum("jn,nj->j", rows, _base_stiffness(op) @ rows.T))
+    vert = float(np.sum(mesh.face_kappa()[:, None] * np.diff(rows, axis=0) ** 2) * op.grid.cell_volume)
     return horiz + vert
 
 

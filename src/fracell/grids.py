@@ -123,10 +123,6 @@ class Grid:
     def active_mask(self, bc: BoundaryCondition) -> np.ndarray:
         return self.interior_mask() if bc.is_dirichlet else np.ones(self.shape, bool)
 
-    def refine(self) -> "Grid":
-        """Grid with doubled resolution (nodes 2n-1 per axis, same box)."""
-        return Grid(self.extents, tuple(2 * n - 1 for n in self.shape))
-
 
 @dataclass(frozen=True)
 class GridFunction:

@@ -27,6 +27,7 @@ __all__ = [
     "write_probe_sweep_csv",
     "write_kernel_csv",
     "write_extension_csv",
+    "write_modes_csv",
     "write_oracle_csv",
     "write_report_json",
     "config_hash",
@@ -160,6 +161,12 @@ def write_extension_csv(path, field) -> None:
         for i in range(mesh.base.shape[0]):
             lines.append(f"{i},{j},{fmt(x[i])},{fmt(yj)},{fmt(field.values[j, i])}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_modes_csv(path, lam, dtn_defect, energy_defect) -> None:
+    """Per base mode: lambda, g/lambda^s - 1 and e/(h^dim d_s lambda^s) - 1 (`extension_multipliers`)."""
+    rows = (f"{fmt(a)},{fmt(b)},{fmt(c)}\n" for a, b, c in zip(lam, dtn_defect, energy_defect))
+    Path(path).write_text("lambda,dtn_ratio_minus_1,energy_ratio_minus_1\n" + "".join(rows), encoding="utf-8")
 
 
 def write_oracle_csv(path, xs, values, closed_form) -> None:

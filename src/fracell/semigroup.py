@@ -92,6 +92,14 @@ class SingularQuadrature:
         return cls(exponent, t_min, t_max, np.exp(tau), w * np.exp(-exponent * tau))
 
     @classmethod
+    def _spaced(cls, exponent: float, t_min: float, t_max: float, dtau: float) -> "SingularQuadrature":
+        """`build` with log-spacing at most dtau; t_min = 0 or t_max = inf is an error."""
+        if not 0.0 < t_min < t_max < math.inf:
+            raise QuadratureError(f"rule range [{t_min:.3g}, {t_max:.3g}] at s={abs(exponent):.10g} overflows")
+        n = int(math.ceil((math.log(t_max) - math.log(t_min)) / dtau)) + 1
+        return cls.build(exponent, t_min, t_max, n)
+
+    @classmethod
     def for_spectrum(
         cls,
         s: float,
@@ -112,10 +120,9 @@ class SingularQuadrature:
         if not 0 < lam_min <= lam_max:
             raise QuadratureError("need 0 < lam_min <= lam_max")
         t_min = (tol * (1 - s)) ** (1.0 / (1.0 - s)) / lam_max
-        t_max = (s * abs(gamma_fn(-s)) * lam_min**s * tol) ** (-1.0 / s)
-        t_max = max(t_max, 10.0 / lam_min)
-        n = int(math.ceil((math.log(t_max) - math.log(t_min)) / dtau)) + 1
-        return cls.build(s, t_min, t_max, n)
+        with np.errstate(over="ignore"):
+            t_max = (s * abs(gamma_fn(-s)) * lam_min**s * tol) ** (-1.0 / s)
+        return cls._spaced(s, t_min, max(t_max, 10.0 / lam_min), dtau)
 
     @classmethod
     def for_inverse(
@@ -130,9 +137,7 @@ class SingularQuadrature:
         if not 0 < s < 1:
             raise QuadratureError(f"s={s} outside (0,1)")
         t_min = (tol * s * gamma_fn(s)) ** (1.0 / s) / lam_max
-        t_max = (60.0 + 10.0 * s) / lam_min
-        n = int(math.ceil((math.log(t_max) - math.log(t_min)) / dtau)) + 1
-        return cls.build(-s, t_min, t_max, n)
+        return cls._spaced(-s, t_min, (60.0 + 10.0 * s) / lam_min, dtau)
 
     @classmethod
     def for_poisson(
@@ -156,17 +161,12 @@ class SingularQuadrature:
         t_max = 60.0 / lam_min_positive
         if has_kernel_mode:
             t_max = max(t_max, 0.25 * y**2 * (s * gamma_fn(s) * tol) ** (-1.0 / s))
-        n = int(math.ceil((math.log(t_max) - math.log(t_min)) / dtau)) + 1
-        return cls.build(s, t_min, t_max, n)
+        return cls._spaced(s, t_min, t_max, dtau)
 
     def integrate(self, g) -> float | np.ndarray:
         """sum_j w_j g(t_j); g may return arrays (leading axis = t nodes)."""
         vals = g(self.nodes)
         return np.tensordot(self.weights, vals, axes=(0, 0))
-
-    def refined(self, factor: int = 2) -> "SingularQuadrature":
-        n = (self.size - 1) * factor + 1
-        return SingularQuadrature.build(self.exponent, self.t_min, self.t_max, n)
 
     def calibration_report(self, s: float, lams: np.ndarray) -> dict:
         """Max relative residual |quad - lam^s| / lam^s over the given lambdas."""

@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracell.cli import ConfigError, RunConfig, main, parse_config_file, run
 
@@ -96,23 +98,50 @@ def test_converge_two_levels(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args, calls",
-    [(["extension", "--nodes=34", "--layers=16"], 1), (["converge", "--nodes=17", "--layers=8", "--levels=3"], 3)],
-    ids=["extension", "converge"],
+    "args, decompositions, fields",
+    [
+        (["extension", "--nodes=34", "--layers=16"], 1, 0),
+        (["converge", "--nodes=17", "--layers=8", "--levels=3"], 0, 0),
+        (["extension", "--nodes=34", "--layers=16", "--write_field=true"], 1, 1),
+    ],
+    ids=["extension", "converge", "extension-field"],
 )
-def test_each_extension_level_decomposes_its_base_once(tmp_path, monkeypatch, args, calls):
+def test_each_extension_level_decomposes_its_base_once(tmp_path, monkeypatch, args, decompositions, fields):
+    # the DtN and energy come from the per-mode multipliers: `extension`
+    # decomposes its base once and solves the cylinder field only to write
+    # it; `converge` needs only the two ends of each level's spectrum
     from fracell import cli, extension, spectral
 
-    seen = []
+    seen, solved = [], []
 
     def counted(op, *rest, **kw):
         seen.append(op.size)
         return spectral.eigendecompose(op, *rest, **kw)
 
+    def counted_solve(*a, **kw):
+        solved.append(1)
+        return extension.solve_extension(*a, **kw)
+
     monkeypatch.setattr(cli, "eigendecompose", counted)
     monkeypatch.setattr(extension, "eigendecompose", counted)
+    monkeypatch.setattr(cli, "solve_extension", counted_solve)
     main([*args, f"--out={tmp_path}"])
-    assert len(seen) == len(set(seen)) == calls
+    assert len(seen) == len(set(seen)) == decompositions
+    assert len(solved) == fields
+
+
+def test_extension_writes_its_per_mode_defects(tmp_path):
+    # lambda_k, g/lambda^s - 1 and e/(h d_s lambda^s) - 1 per base mode; for
+    # u = phi_1 the first row carries the reported errors
+    assert main(["extension", "--nodes=9", "--layers=8", "--s=0.25", f"--out={tmp_path}"]) == 1
+    rows = (tmp_path / "extension_modes.csv").read_text().splitlines()
+    assert rows[0] == "lambda,dtn_ratio_minus_1,energy_ratio_minus_1"
+    lam, dtn, energy = np.array([[float(v) for v in r.split(",")] for r in rows[1:]]).T
+    h = 1.0 / 8
+    assert lam == pytest.approx(4.0 / h**2 * np.sin(np.arange(1, 8) * np.pi * h / 2) ** 2, rel=1e-12)
+    results = json.loads((tmp_path / "extension_report.json").read_text())
+    assert abs(dtn[0]) == pytest.approx(results["dtn_error"], rel=1e-9)
+    assert abs(energy[0]) == pytest.approx(results["energy_error"], rel=1e-9)
 
 
 def _child_env() -> dict:
@@ -140,6 +169,16 @@ def test_cli_import_skips_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_halfline_slope_check_is_relative(tmp_path, monkeypatch):
+    # a slope 50 % off 2s = 2e-3 is 1e-3 off, which an absolute 1e-3 tolerance passed
+    from fracell import cli
+
+    monkeypatch.setattr(cli, "halfline_inverse_quadrature", lambda problem, xs: xs ** (1.5 * 2 * problem.s))
+    assert main(["halfline", "--s=1e-3", f"--out={tmp_path}"]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["assertions"][0]["tolerance"] == pytest.approx(2e-6)
 
 
 def test_halfline_smallest_s_carries_its_slope(tmp_path):
@@ -231,3 +270,61 @@ def test_kernel_consumers_check_available_memory(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'nodes':")
     assert what in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed overrides: every request ends with exit 0, 1 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+_FLOAT_KEYS = (
+    "s", "extent", "gamma", "T", "alpha", "p", "r_max", "tol", "d_max", "fit_rmin", "fit_rmax",
+    "margin", "slope_tol", "dtn_tol", "energy_tol",
+)
+_CHOICES = {
+    "bc": ("dirichlet", "neumann"),
+    "kind": ("jump", "greens"),
+    "probe": ("interior", "interior_lp", "boundary", "layer", "harnack"),
+    "u": ("phi1", "bump"),
+    "write_kernel": ("true", "false", "1", "0"),
+    "write_field": ("true", "false", "1", "0"),
+    "coeff": ("identity", "constant:2", "diag:1,2", "sine", "sine:0.3", "sine:0.99", "constant:1e-300"),
+    "rhs": ("ones", "sine", "sine:3", "bump", "random", "spike", "spike:1.5"),
+}
+_INT_CAPS = {"layers": 64, "levels": 3, "eigenvectors": 8, "seed": 2**40}  # nodes: by dim, below
+_MALFORMED = ("", "abc", "1,2", "0x10", "--", "1e", "true", "2.5.1", "spike:")
+_NONFINITE = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400")
+
+
+def _floats():
+    tiny = st.sampled_from(["1e-9", "1e-12", "1e-300", "5e-324", "1e300", "0", "-0.0"])
+    return tiny | st.floats(-2.0, 1e3, allow_nan=False).map(repr)
+
+
+@st.composite
+def _overrides(draw):
+    known = ("dim", "nodes", *_FLOAT_KEYS, *_CHOICES, *_INT_CAPS)
+    keys = draw(st.lists(st.sampled_from(known), max_size=6, unique=True))
+    dim = draw(st.sampled_from(("1", "2", "0", "3"))) if "dim" in keys else "1"
+    params = {}
+    for key in keys:
+        if key == "dim":
+            numeric = st.just(dim)
+        elif key == "nodes":
+            numeric = st.integers(-2, 24 if dim == "2" else 1025).map(str)
+        elif key in _INT_CAPS:
+            numeric = st.integers(-3, _INT_CAPS[key]).map(str)
+        elif key in _CHOICES:
+            numeric = st.sampled_from(_CHOICES[key]) | st.floats(-2.0, 2.0, allow_nan=False).map(repr)
+        else:
+            numeric = _floats()
+        params[key] = draw(numeric | st.sampled_from(_MALFORMED) | st.sampled_from(_NONFINITE))
+    return params
+
+
+@given(command=st.sampled_from(("solve", "kernel", "extension", "halfline", "probe", "converge")), params=_overrides())
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_fuzzed_overrides_end_in_an_exit_code(tmp_path_factory, command, params):
+    # a request is a pass (0), a failed assertion (1) or a named config error (2)
+    out = tmp_path_factory.mktemp("fuzz")
+    rc = main([command, *(f"--{k}={v}" for k, v in params.items()), f"--out={out}"])
+    assert rc in (0, 1, 2)

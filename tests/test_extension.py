@@ -17,6 +17,7 @@ from fracell import (
     dtn_extract,
     eigendecompose,
     extension_energy,
+    extension_multipliers,
     extension_series_eval,
     fractional_apply,
     hs_energy_norm,
@@ -36,6 +37,7 @@ from fracell.extension import (
     extension_semigroup_eval,
     trace_inequality_check,
 )
+from fracell.spectral import _spectrum_ends
 
 
 @pytest.fixture(scope="module")
@@ -396,10 +398,15 @@ def test_lifted_dtn_matches_long_double_reference():
     phi1 = basis.eigenfunction(0)
     target = fractional_apply(basis, phi1, s)
     err = l2_norm(dtn_extract(solve_extension(op, phi1, mesh), s) - target) / l2_norm(target)
+    err_ref = _long_double_dtn_error(mesh, basis.eigenvalues[0])
+    assert abs(err - err_ref) <= 1e-6 * err_ref
 
-    ld = np.longdouble
-    M = mesh.layers
-    lam = ld(basis.eigenvalues[0])
+
+def _long_double_dtn_error(mesh, lam):
+    """|g(lam) / lam^s - 1| of one mode's y-problem (lam D + T) w = 0, w_0 = 0,
+    w_M = -1, by a Thomas sweep and the 4-layer fit, in long double."""
+    ld, s, M = np.longdouble, mesh.s, mesh.layers
+    lam = ld(lam)
     D = mesh.node_weights()[1:M].astype(ld)
     kap = mesh.face_kappa().astype(ld)
     diag = lam * D + kap[:-1] + kap[1:]  # rows 1..M-1, off-diagonals -kap[1:M-1]
@@ -418,8 +425,77 @@ def test_lifted_dtn_matches_long_double_reference():
     G, r = cols @ cols.T, cols @ w[:4]
     c0 = (G[1, 1] * r[0] - G[0, 1] * r[1]) / (G[0, 0] * G[1, 1] - G[0, 1] ** 2)
     dtn = -c0 / y[-1] ** (2 * ld(s)) / ld(dtn_constant_intro(s))
-    err_ref = float(abs(dtn - lam ** ld(s)) / lam ** ld(s))
-    assert abs(err - err_ref) <= 1e-6 * err_ref
+    return float(abs(dtn - lam ** ld(s)) / lam ** ld(s))
+
+
+def test_multiplier_matches_long_double_reference():
+    # the finest level of `fracell converge` (130 nodes x 64 layers, 3 refinements):
+    # the lifted multiplier is within 7.9e-9 of the long-double DtN error, where the
+    # field route (two basis transforms of U - u) was 1.4e-6 off
+    s = 0.5
+    g = Grid((1.0,), (1033,))
+    lam0, _ = _spectrum_ends(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    mesh = ExtensionMesh.build(g, s, 512, lam0=lam0)
+    (dtn,), _ = extension_multipliers(mesh, lam0)
+    err_ref = _long_double_dtn_error(mesh, lam0)
+    assert abs(abs(dtn / lam0**s - 1.0) - err_ref) <= 1e-7 * err_ref
+
+
+@pytest.mark.parametrize("coeff", ["identity", "sine"])
+@pytest.mark.parametrize("shape, layers", [((33,), 16), ((9, 9), 8)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_multipliers_match_the_cylinder_solve(shape, layers, bc, coeff):
+    # random data holds every mode: dtn_extract of its field has the coefficients
+    # g_k c_k, and each mode's own field has the energy e_k / h^dim
+    g = Grid((1.0,) * len(shape), shape)
+    if coeff == "identity":
+        op = assemble(g, CoefficientField.identity(g), bc)
+    else:
+        op = _sine_base(shape, bc)[1]
+    basis = eigendecompose(op)
+    u = GridFunction(g, np.random.default_rng(3).standard_normal(shape))
+    c, h = basis.coefficients(u), g.cell_volume
+    for s in (0.25, 0.5, 0.75):
+        mesh = ExtensionMesh.build(g, s, layers, lam0=basis.lambda_min_positive)
+        gm, em = extension_multipliers(mesh, basis.eigenvalues)
+        U = solve_extension(op, u, mesh, basis)
+        got = basis.coefficients(dtn_extract(U, s))
+        assert np.abs(got - gm * c).max() <= 1e-10 * np.abs(gm * c).max()
+        assert extension_energy(U) == pytest.approx(np.sum(em * c**2) / h, rel=1e-10)
+        for k in range(basis.size):
+            Uk = solve_extension(op, basis.eigenfunction(k), mesh, basis)
+            assert basis.coefficients(dtn_extract(Uk, s))[k] == pytest.approx(gm[k], rel=1e-10)
+            assert extension_energy(Uk) == pytest.approx(em[k] / h, rel=1e-10)
+
+
+def test_multiplier_solve_is_gated(monkeypatch):
+    import scipy.linalg
+
+    solve = scipy.linalg.solveh_banded
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda *a, **kw: solve(*a, **kw) * (1.0 + 1e-9))
+    g = Grid((1.0,), (17,))
+    mesh = ExtensionMesh.build(g, 0.5, 8, height=3.0)
+    with pytest.raises(ExtensionError, match="backward error"):
+        extension_multipliers(mesh, [1.0, 100.0])
+
+
+def _energy_by_layer_loop(field):
+    # extension_energy as it was: one sparse matvec per layer
+    op, mesh = field.op, field.mesh
+    K, V, kap = _base_stiffness(op), mesh.node_weights(), mesh.face_kappa()
+    rows = np.stack([field.values[j][op.active_mask] for j in range(mesh.layers + 1)])
+    horiz = float(sum(V[j] * rows[j] @ (K @ rows[j]) for j in range(mesh.layers + 1)))
+    vert = float(np.sum(kap[:, None] * np.diff(rows, axis=0) ** 2) * op.grid.cell_volume)
+    return horiz + vert
+
+
+@pytest.mark.parametrize("shape", [(65,), (13, 11)], ids=["1d", "2d"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_extension_energy_in_one_product_matches_the_layer_loop(shape, bc):
+    g, op = _sine_base(shape, bc)
+    mesh = ExtensionMesh.build(g, 0.4, 16, height=3.0)
+    U = solve_extension(op, GridFunction.from_callable(g, lambda *x: np.cos(2.0 * x[0]) + sum(x)), mesh)
+    assert extension_energy(U) == pytest.approx(_energy_by_layer_loop(U), rel=1e-13)
 
 
 def _sine_base(shape, bc=DIRICHLET):
