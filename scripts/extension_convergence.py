@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Extension-route convergence sweep: DtN and energy-identity errors over
-three mesh levels for each s, via the `converge` command.  The levels run
-one after another; each decomposes its base operator once.
+three mesh levels for each s, via the `converge` command.  Each level reads
+both errors off the per-mode multipliers of its lowest mode, from the two
+ends of its spectrum; no eigenbasis or cylinder field is built.
 """
 
 import json

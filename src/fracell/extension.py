@@ -323,6 +323,8 @@ def extension_multipliers(mesh: ExtensionMesh, lam) -> tuple[np.ndarray, np.ndar
     1..M-1; the increments v, which the DtN fit reads, take one gated solve."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     M, vol = mesh.layers, mesh.base.cell_volume
+    if M < 5:
+        raise ExtensionError("the 4-layer DtN fit needs at least 5 layers")
     _check_memory(8 * lam.size * M, f"y-systems of a cylinder of {M + 1} layers x {lam.size} base nodes")  # ~8 arrays
     band, D, T = _y_systems(mesh, vol * lam, 1)
     rhs = -vol * lam[:, None] * D

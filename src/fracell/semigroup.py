@@ -95,7 +95,7 @@ class SingularQuadrature:
     def _spaced(cls, exponent: float, t_min: float, t_max: float, dtau: float) -> "SingularQuadrature":
         """`build` with log-spacing at most dtau; t_min = 0 or t_max = inf is an error."""
         if not 0.0 < t_min < t_max < math.inf:
-            raise QuadratureError(f"rule range [{t_min:.3g}, {t_max:.3g}] at s={abs(exponent):.10g} overflows")
+            raise QuadratureError(f"t-range [{t_min:.3g}, {t_max:.3g}] at s={abs(exponent):.10g} over- or underflows")
         n = int(math.ceil((math.log(t_max) - math.log(t_min)) / dtau)) + 1
         return cls.build(exponent, t_min, t_max, n)
 

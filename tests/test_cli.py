@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracell.cli import ConfigError, RunConfig, main, parse_config_file, run
 
@@ -323,6 +323,15 @@ def _overrides(draw):
 
 @given(command=st.sampled_from(("solve", "kernel", "extension", "halfline", "probe", "converge")), params=_overrides())
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+# tracebacks that a wider search found: each is a named config error now
+@example(command="kernel", params={"s": "1e-9"})
+@example(command="kernel", params={"s": "0.999999999"})
+@example(command="kernel", params={"kind": "greens", "s": "0.01"})
+@example(command="solve", params={"seed": "-1"})
+@example(command="solve", params={"nodes": "9", "rhs": "spike:0"})
+@example(command="solve", params={"dim": "2", "nodes": "24", "extent": "1e-6"})
+@example(command="solve", params={"nodes": "9", "coeff": "constant:1e200"})
+@example(command="converge", params={"nodes": "9", "levels": "1e300"})
 def test_fuzzed_overrides_end_in_an_exit_code(tmp_path_factory, command, params):
     # a request is a pass (0), a failed assertion (1) or a named config error (2)
     out = tmp_path_factory.mktemp("fuzz")

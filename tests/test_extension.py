@@ -477,6 +477,8 @@ def test_multiplier_solve_is_gated(monkeypatch):
     mesh = ExtensionMesh.build(g, 0.5, 8, height=3.0)
     with pytest.raises(ExtensionError, match="backward error"):
         extension_multipliers(mesh, [1.0, 100.0])
+    with pytest.raises(ExtensionError, match="at least 5 layers"):
+        extension_multipliers(ExtensionMesh.build(g, 0.5, 4, height=3.0), [1.0])
 
 
 def _energy_by_layer_loop(field):
