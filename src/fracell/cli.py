@@ -542,6 +542,11 @@ def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     layers = cfg.get_int("layers", 64, lo=5)
     levels = cfg.get_int("levels", 3, lo=2, hi=40)
     _check_memory(30 * ((nodes - 1) * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes")  # 30 per node
+    # the finest mesh is checked before any level is assembled, with the closed-form spectrum
+    # ends (4/h^2) sin^2(k pi h / 2), k = 1 and n - 2, of the 1D Dirichlet identity
+    fine = Grid((1.0,), ((nodes - 1) * 2 ** (levels - 1) + 1,))
+    lam0, lam_max = (2 / fine.spacing[0] * np.sin(np.array([1, fine.shape[0] - 2]) * np.pi * fine.spacing[0] / 2)) ** 2
+    _extension_mesh(fine, lam0, lam_max, s, layers * 2 ** (levels - 1))
 
     errs, energy_errs = [], []
     for level in range(levels):  # phi_1 of each level: its two multipliers give both errors

@@ -39,24 +39,18 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _rows(template: str, *columns) -> str:
+    """One `template` line per entry of the equally long columns, all formatted by a
+    single `%`: "%.17g" % x is `fmt(x)`, and "%d" prints an integral float as `int`."""
+    values = np.column_stack([np.ravel(c) for c in columns]).ravel().tolist()
+    return (template * (len(values) // len(columns))) % tuple(values)
+
+
 def write_field_csv(path, u: GridFunction) -> None:
     """Nodal field as CSV: 1D header i,x,value; 2D header i,j,x,y,value."""
-    grid = u.grid
-    path = Path(path)
-    lines = []
-    if grid.dim == 1:
-        lines.append("i,x,value")
-        x = grid.axis_coords(0)
-        for i in range(grid.shape[0]):
-            lines.append(f"{i},{fmt(x[i])},{fmt(u.values[i])}")
-    else:
-        lines.append("i,j,x,y,value")
-        xs = grid.axis_coords(0)
-        ys = grid.axis_coords(1)
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                lines.append(f"{i},{j},{fmt(xs[i])},{fmt(ys[j])},{fmt(u.values[i, j])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    grid, dim = u.grid, u.grid.dim
+    body = _rows("%d," * dim + "%.17g," * dim + "%.17g\n", *np.indices(grid.shape), *grid.coords(), u.values)
+    Path(path).write_text(",".join([*"ij"[:dim], *"xy"[:dim], "value"]) + "\n" + body, encoding="utf-8")
 
 
 def read_field_csv(path, grid: Grid) -> GridFunction:
@@ -90,10 +84,8 @@ def read_grid_json(path) -> tuple[Grid, BoundaryCondition, str]:
 
 
 def write_eigen_csv(path, basis) -> None:
-    lines = ["k,lambda"]
-    for k, lam in enumerate(basis.eigenvalues):
-        lines.append(f"{k},{fmt(lam)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    body = _rows("%d,%.17g\n", np.arange(basis.size), basis.eigenvalues)
+    Path(path).write_text("k,lambda\n" + body, encoding="utf-8")
 
 
 def write_eigen_summary(path, basis) -> None:
@@ -144,10 +136,11 @@ def write_probe_sweep_csv(path, rows: list[dict]) -> None:
 def write_kernel_csv(path, kernel) -> None:
     """Kernel matrix as (i, j, value) triplets over active-node pairs,
     streamed row by row: memory stays O(N) for the N^2 lines."""
+    cols = np.arange(len(kernel.entries))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("i,j,value\n")
         for i, row in enumerate(kernel.entries):
-            fh.writelines(f"{i},{j},{fmt(v)}\n" for j, v in enumerate(row.tolist()))
+            fh.write(_rows("%d,%d,%.17g\n", np.full(cols.size, i), cols, row))
 
 
 def write_extension_csv(path, field) -> None:
@@ -155,26 +148,22 @@ def write_extension_csv(path, field) -> None:
     mesh = field.mesh
     if mesh.base.dim != 1:
         raise ValueError("extension CSV export covers 1D bases")
-    x = mesh.base.axis_coords(0)
-    lines = ["i,j,x,y,U"]
-    for j, yj in enumerate(mesh.y_nodes):
-        for i in range(mesh.base.shape[0]):
-            lines.append(f"{i},{j},{fmt(x[i])},{fmt(yj)},{fmt(field.values[j, i])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    j, i = np.indices(field.values.shape)
+    body = _rows("%d,%d,%.17g,%.17g,%.17g\n", i, j, mesh.base.axis_coords(0)[i], mesh.y_nodes[j], field.values)
+    Path(path).write_text("i,j,x,y,U\n" + body, encoding="utf-8")
 
 
 def write_modes_csv(path, lam, dtn_defect, energy_defect) -> None:
     """Per base mode: lambda, g/lambda^s - 1 and e/(h^dim d_s lambda^s) - 1 (`extension_multipliers`)."""
-    rows = (f"{fmt(a)},{fmt(b)},{fmt(c)}\n" for a, b, c in zip(lam, dtn_defect, energy_defect))
-    Path(path).write_text("lambda,dtn_ratio_minus_1,energy_ratio_minus_1\n" + "".join(rows), encoding="utf-8")
+    body = _rows("%.17g,%.17g,%.17g\n", lam, dtn_defect, energy_defect)
+    Path(path).write_text("lambda,dtn_ratio_minus_1,energy_ratio_minus_1\n" + body, encoding="utf-8")
 
 
 def write_oracle_csv(path, xs, values, closed_form) -> None:
-    lines = ["x,value,closed_form,ratio"]
-    for x, v, c in zip(xs, values, closed_form):
-        ratio = v / c if c != 0 else float("nan")
-        lines.append(f"{fmt(x)},{fmt(v)},{fmt(c)},{fmt(ratio)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    values, closed_form = np.asarray(values, dtype=float), np.asarray(closed_form, dtype=float)
+    ratio = np.divide(values, closed_form, out=np.full(values.shape, np.nan), where=closed_form != 0)
+    body = _rows("%.17g,%.17g,%.17g,%.17g\n", xs, values, closed_form, ratio)
+    Path(path).write_text("x,value,closed_form,ratio\n" + body, encoding="utf-8")
 
 
 def _jsonable(obj):

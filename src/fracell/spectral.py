@@ -49,6 +49,7 @@ class DenseMemoryError(SpectralError):
 _RESIDUAL_TOL = 1e-8  # eigenpair residual gate, relative to max(lambda_max, 1)
 _KERNEL_RTOL = 1e-10  # a Neumann eigenvalue this small relative to max(lambda_max, 1) is the kernel's 0
 _MEAN_RTOL = 1e-10  # a Neumann datum with |mean| above this times its RMS is incompatible
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 @dataclass(frozen=True)
@@ -218,10 +219,12 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     if factors is not None:
         d, e, b, dy, ey = factors
         _check_memory((2 * dy.size + 1) * d.size**2, f"{dy.size} x {d.size} x {d.size} block eigenvectors")
-        mu, Q = sla.eigh_tridiagonal(dy, ey)
-        lam, X = sla.eigh_tridiagonal(
-            d[None, :] + mu[:, None] * b[None, :], np.broadcast_to(e, (mu.size, e.size))
-        )
+        if dy.size == 1:  # one y-mode (1D): T_y = [dy0] needs no solve, and scipy's batching would copy X
+            lam, X = sla.eigh_tridiagonal(d + dy[0] * b, e)
+            Q, lam, X = np.ones((1, 1)), lam[None], X[None]
+        else:
+            mu, Q = sla.eigh_tridiagonal(dy, ey)
+            lam, X = sla.eigh_tridiagonal(d + mu[:, None] * b, np.broadcast_to(e, (mu.size, e.size)))
         order = np.argsort(lam, axis=None, kind="stable")
         lam = lam.ravel()[order]
     else:
@@ -249,11 +252,56 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
         X[j, :, k] *= -1.0
 
     basis = EigenBasis(op.grid, op.bc, op.grid.active_mask(op.bc), lam, Q, X, order, w)
-    res = basis.residual(op)
+    res = basis.residual(op) if factors is None else _factor_residual(basis, op, factors)
     scale = max(basis.lambda_max, 1.0)
     if res > _RESIDUAL_TOL * scale:
         raise SpectralError(f"eigensolver residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e}*lambda_max")
     return basis
+
+
+def _factor_residual(basis: EigenBasis, op: DiscreteOperator, factors) -> float:
+    """An upper bound on `basis.residual(op)` from the factors, O(N (nx + ny)).
+
+    With T_y q = mu q + r (mu the Rayleigh quotient) and (T_x + mu B) x = lambda x + rho
+    for the stored lambda, ||(M - lambda) x (x) q|| <= ||rho|| ||q|| + (||r|| max b + (delta
+    + slack) ||q||) ||x||.  delta = ||M - M_kron||_F compares each stored entry of M with the
+    factor value at its offset (inf if M lacks a stencil entry); slack = (m + 3) u (2 max diag
+    + delta + lambda_max), m entries a row, bounds the rounding of `residual` itself."""
+    d, e, b, dy, ey = factors
+    M, nx, ny = op.matrix, d.size, dy.size
+    per_row = np.diff(M.indptr)
+    row = np.repeat(np.arange(M.shape[0]), per_row)
+    lo, off = np.minimum(row, M.indices), np.abs(M.indices - row)  # each entry as the bond (lo, lo + off)
+    ep, pe, eyp = np.concatenate((e, [0.0])), np.concatenate(([0.0], e)), np.concatenate((ey, [0.0]))
+    diag, x_bond, y_bond = (d[:, None] + b[:, None] * dy).ravel(), np.repeat(ep, ny), (b[:, None] * eyp).ravel()
+    kron = (off == 0) * diag[lo] + (off == ny) * x_bond[lo] + (off == 1) * y_bond[lo]  # ny = 1: y_bond is 0
+    full = np.count_nonzero(kron) == nx * ny + 2 * (nx - 1) * ny + 2 * nx * (ny - 1)
+    delta = np.linalg.norm(M.data - kron) if full else math.inf
+    slack = (per_row.max() + 3) * _UNIT_ROUNDOFF * (2.0 * diag.max() + delta + basis.lambda_max)
+
+    Q = basis.Q
+    if ny == 1:  # T_y = [dy0]: mu = dy0 and r = 0
+        mu, qn, x_coef = dy, np.abs(Q), (delta + slack) * np.abs(Q)
+    else:
+        TQ = (np.diag(dy) + np.diag(ey, 1) + np.diag(ey, -1)) @ Q
+        qq = np.einsum("yj,yj->j", Q, Q)
+        mu = np.einsum("yj,yj->j", Q, TQ) / qq
+        TQ -= mu * Q
+        qn = np.sqrt(qq)[:, None]
+        x_coef = np.sqrt(np.einsum("yj,yj->j", TQ, TQ))[:, None] * np.abs(b).max() + (delta + slack) * qn
+    shift, lam = (d + mu[:, None] * b)[:, None, :], basis._blocks(basis.eigenvalues)[..., None]
+    worst = 0.0
+    for c in range(0, nx, 256):
+        X = basis.X[:, :, c : c + 256].transpose(0, 2, 1)  # [j, k, x], C order: eigenvectors are columns
+        R = shift - lam[:, c : c + 256]
+        R *= X
+        r = R.reshape(-1)  # a view of the C-order R: the off-diagonal by flat shifts, pe and ep 0 where a line ends
+        r[:-1] += (X * pe).reshape(-1)[1:]
+        r[1:] += (X * ep).reshape(-1)[:-1]
+        bound = np.sqrt(np.einsum("jkx,jkx->jk", R, R)) * qn
+        bound += np.sqrt(np.einsum("jkx,jkx->jk", X, X)) * x_coef
+        worst = max(worst, bound.max())
+    return float(worst) / math.sqrt(basis.weight)
 
 
 def _spectrum_ends(op: DiscreteOperator) -> tuple[float, float]:

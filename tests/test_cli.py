@@ -89,6 +89,19 @@ def test_neumann_incompatible_rhs_fails_cleanly(tmp_path):
     assert "mean" in report["results"]["error"]
 
 
+def test_converge_checks_its_finest_mesh_before_any_level(tmp_path, capsys, monkeypatch):
+    # levels 0-6 hold the grading exponent 1/s = 100; the 2048-layer finest level underflows
+    import fracell.cli as cli
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was assembled before the finest mesh was checked")
+
+    monkeypatch.setattr(cli, "assemble", no_level)
+    assert main(["converge", "--nodes=9", "--layers=16", "--levels=8", "--s=0.01", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 's':") and "2048-layer" in err
+
+
 def test_converge_two_levels(tmp_path):
     cfg = RunConfig("converge", {"nodes": "34", "layers": "16", "levels": "2", "s": "0.5"})
     result = run(cfg, out_dir=tmp_path)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fracell import CoefficientField, DIRICHLET, Grid, assemble, eigendecompose
-from fracell.io import fmt, write_kernel_csv
+from fracell import CoefficientField, DIRICHLET, Grid, GridFunction, assemble, eigendecompose
+from fracell.io import fmt, write_field_csv, write_kernel_csv
 from fracell.semigroup import heat_kernel
 
 
@@ -41,3 +41,19 @@ def test_kernel_csv_streams_its_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size
+
+
+_AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3, 1e16, -7.0]
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 3)], ids=str)
+def test_field_csv_matches_per_value_fmt(tmp_path, shape):
+    g = Grid((1.0,) * len(shape), shape)
+    u = GridFunction(g, np.reshape(_AWKWARD, shape))
+    lines = ["i,x,value" if len(shape) == 1 else "i,j,x,y,value"]
+    for idx in np.ndindex(shape):
+        coords = [fmt(g.axis_coords(d)[k]) for d, k in enumerate(idx)]
+        lines.append(",".join([*map(str, idx), *coords, fmt(u.values[idx])]))
+    path = tmp_path / "field.csv"
+    write_field_csv(path, u)
+    assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"

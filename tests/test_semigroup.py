@@ -27,6 +27,7 @@ from fracell import (
     poisson_kernel,
 )
 from fracell.semigroup import (
+    KernelMatrix,
     QuadratureError,
     boundary_factor_fit,
     gaussian_bound_fit,
@@ -314,6 +315,15 @@ def test_heat_kernel_contract(basis_dirichlet, basis_neumann):
     for t in (0.01, 0.1, 1.0):
         WN = heat_kernel(basis_neumann, t)
         assert np.abs(WN.row_integrals() - 1.0).max() <= 1e-8
+
+
+def test_symmetry_defect_by_tiles_equals_the_full_transpose(basis_dirichlet):
+    # 600 rows: three tile rows, the last one partial
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((600, 600))
+    A = A + A.T + 1e-9 * rng.standard_normal((600, 600))
+    K = KernelMatrix(basis_dirichlet, "heat", A)
+    assert K.symmetry_defect() == np.abs(A - A.T).max() / np.abs(A).max()
 
 
 def test_gaussian_upper_bound_fit(basis_dirichlet):

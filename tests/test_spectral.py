@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracell import (
     CoefficientField,
@@ -21,7 +24,7 @@ from fracell import (
     scaling_check,
 )
 from fracell import spectral
-from fracell.operators import _kronecker_factors
+from fracell.operators import DiscreteOperator, _kronecker_factors
 from fracell.spectral import CompatibilityError, DenseMemoryError, SpectralCoefficients, SpectralError
 
 from conftest import random_dirichlet_field
@@ -325,6 +328,74 @@ def test_factored_solve_at_130_squared_builds_no_dense_matrix():
     assert peak <= 256 * 2**20
     mask = basis.active_mask
     assert np.linalg.norm(back.values[mask] - f.values[mask]) <= 1e-8 * np.linalg.norm(f.values[mask])
+
+
+def _certified(shape, bc, coeff):
+    g = Grid((1.0,) * len(shape), shape)
+    op = assemble(g, _coefficient(g, coeff), bc)
+    factors = _kronecker_factors(op)
+    return op, factors, eigendecompose(op)
+
+
+def _gate(basis):
+    return spectral._RESIDUAL_TOL * max(basis.lambda_max, 1.0)
+
+
+@pytest.mark.parametrize("coeff", ["identity", "sine"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("shape", [(9,), (65,), (130,), (13, 13), (17, 11), (24, 24)], ids=str)
+def test_factor_certificate_bounds_the_residual(shape, bc, coeff):
+    op, (d, e, b, dy, ey), basis = _certified(shape, bc, coeff)
+    cert, exact = spectral._factor_residual(basis, op, (d, e, b, dy, ey)), basis.residual(op)
+    # delta = ||M - M_kron||_F, here from the dense Kronecker sum
+    tri = lambda diag, off: np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    kron = np.kron(tri(d, e), np.eye(dy.size)) + np.kron(np.diag(b), tri(dy, ey))
+    delta = np.linalg.norm(op.matrix.toarray() - kron) / np.sqrt(basis.weight)
+    assert exact <= cert <= 10.0 * exact + (1.0 + 1e-9) * delta
+    assert cert <= 1e-4 * _gate(basis)  # the gate keeps its margin
+
+
+@pytest.mark.parametrize("shape", [(65,), (13, 13)], ids=str)
+def test_factor_certificate_trips_on_a_perturbed_eigenvalue(shape, monkeypatch):
+    op, factors, basis = _certified(shape, NEUMANN, "sine")
+    lam = basis.eigenvalues.copy()
+    lam[-1] *= 1.0 + 1e-6
+    assert spectral._factor_residual(dataclasses.replace(basis, eigenvalues=lam), op, factors) > _gate(basis)
+    exact = scipy.linalg.eigh_tridiagonal
+
+    def top_scaled(*args, **kw):  # every factor's largest eigenvalue 1e-6 too high
+        w, v = exact(*args, **kw)
+        return np.where(w == w.max(axis=-1, keepdims=True), w * (1.0 + 1e-6), w), v
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", top_scaled)
+    with pytest.raises(SpectralError, match="residual"):
+        eigendecompose(op)
+
+
+def test_factor_certificate_trips_on_a_perturbed_q_column():
+    op, factors, basis = _certified((13, 13), DIRICHLET, "identity")
+    Q = basis.Q.copy()
+    Q[3, 5] += 1e-6
+    bad = dataclasses.replace(basis, Q=Q)
+    assert spectral._factor_residual(bad, op, factors) >= bad.residual(op) > _gate(basis)
+
+
+@pytest.mark.parametrize("shape", [(65,), (13, 13)], ids=str)
+@pytest.mark.parametrize("change", ["extra_entry", "dropped_entry"])
+def test_factor_certificate_trips_when_the_matrix_leaves_the_kronecker_sum(shape, change):
+    op, factors, basis = _certified(shape, NEUMANN, "sine")
+    M = op.matrix.tolil()
+    eps = 1e-6 * basis.lambda_max * np.sqrt(basis.weight)
+    if change == "extra_entry":  # far off the 5-point stencil
+        M[0, op.size - 1] = eps
+    else:  # one stencil entry neither stored nor zero-valued: M_kron has it, M does not
+        M[0, 1] = 0.0
+    bad = DiscreteOperator(op.grid, op.bc, op.coeff, M.tocsr())
+    bad.matrix.eliminate_zeros()
+    cert = spectral._factor_residual(basis, bad, factors)
+    assert cert >= eps / np.sqrt(basis.weight) * (1.0 - 1e-9)
+    with pytest.raises(SpectralError, match="residual"):
+        eigendecompose(bad)
 
 
 def test_dense_allocations_check_available_memory(monkeypatch):
