@@ -541,12 +541,14 @@ def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     nodes = cfg.get_int("nodes", 130, lo=9)
     layers = cfg.get_int("layers", 64, lo=5)
     levels = cfg.get_int("levels", 3, lo=2, hi=40)
-    _check_memory(30 * ((nodes - 1) * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes")  # 30 per node
+    fine_nodes, fine_layers = (nodes - 1) * 2 ** (levels - 1) + 1, layers * 2 ** (levels - 1)
+    # 30 floats per base node and 24 per y-node (the mesh build and its y-system), before any mesh
+    _check_memory(30 * fine_nodes + 24 * (fine_layers + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
     # the finest mesh is checked before any level is assembled, with the closed-form spectrum
     # ends (4/h^2) sin^2(k pi h / 2), k = 1 and n - 2, of the 1D Dirichlet identity
-    fine = Grid((1.0,), ((nodes - 1) * 2 ** (levels - 1) + 1,))
-    lam0, lam_max = (2 / fine.spacing[0] * np.sin(np.array([1, fine.shape[0] - 2]) * np.pi * fine.spacing[0] / 2)) ** 2
-    _extension_mesh(fine, lam0, lam_max, s, layers * 2 ** (levels - 1))
+    fine = Grid((1.0,), (fine_nodes,))
+    lam0, lam_max = (2 / fine.spacing[0] * np.sin(np.array([1, fine_nodes - 2]) * np.pi * fine.spacing[0] / 2)) ** 2
+    _extension_mesh(fine, lam0, lam_max, s, fine_layers)
 
     errs, energy_errs = [], []
     for level in range(levels):  # phi_1 of each level: its two multipliers give both errors

@@ -6,9 +6,10 @@ The operator is built from the discrete flux energy
 
 so the matrix is symmetric by construction.  Dividing the stiffness by the
 uniform cell volume yields the nodal operator (diag 2/h^2 for the 1D unit
-stencil).  Dirichlet conditions are imposed by eliminating boundary rows and
-columns; Neumann keeps every node and the zero-flux rows annihilate
-constants.
+stencil).  The CSR arrays are filled directly from each node's 3-point,
+5-point or (with cross terms) 9-point stencil.  Dirichlet conditions are
+imposed by emitting only the interior rows and columns; Neumann keeps every
+node and the zero-flux rows annihilate constants.
 """
 
 from __future__ import annotations
@@ -65,12 +66,14 @@ class DiscreteOperator:
 _BACKWARD_ERROR_TOL = 1e-12  # gate of every direct solve: the cylinder and each resolvent
 
 
-def _gate_backward_error(resid, norm_A: float, x, b, what: str, error: type) -> None:
+def _gate_backward_error(resid, norm_A, x, b, what: str, error: type, axis=None) -> None:
     """Raise `error` unless the normwise backward error ||r|| / (||A|| ||x|| + ||b||)
     of a solve A x = b with residual r, in the max norm, is at most
-    _BACKWARD_ERROR_TOL (NaN fails too)."""
-    scale = norm_A * np.abs(x).max() + np.abs(b).max()
-    err = 0.0 if scale == 0.0 else float(np.abs(resid).max() / scale)
+    _BACKWARD_ERROR_TOL (NaN fails too).  With axis=-1 each row is a solve of
+    its own, gated with its own norms (norm_A then has one entry per row)."""
+    scale = norm_A * np.abs(x).max(axis=axis) + np.abs(b).max(axis=axis)
+    err = np.divide(np.abs(resid).max(axis=axis), scale, out=np.zeros_like(scale), where=scale != 0.0)
+    err = float(np.max(err))  # NaN propagates
     if not err <= _BACKWARD_ERROR_TOL:
         raise error(f"{what} backward error {err:.3e} above {_BACKWARD_ERROR_TOL:g}")
 
@@ -86,67 +89,54 @@ def _tridiagonal(w: np.ndarray, dirichlet: bool) -> tuple[np.ndarray, np.ndarray
     return diag, -w
 
 
-def _stiffness_1d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
-    h = grid.spacing[0]
-    a = A.faces[0][:, 0, 0]  # scalar per edge
-    diag, off = _tridiagonal(a / h, False)  # elementary stiffness h * a * (du/h)^2 -> a/h
-    return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
+# the 3 x 3 stencil slots (di, dj) in row-major order, i.e. by column; the face
+# slots (and the diagonal) are stored always, a cross slot where it is nonzero
+_FACE_SLOTS = np.array([[False, True, False], [True, True, True], [False, True, False]])
 
 
-def _face_triplets(a: np.ndarray, b: np.ndarray, w: np.ndarray):
-    """COO triplets of the two-node flux stencils w (u_a - u_b)^2, face by
-    face in the order (a,a), (b,b), (a,b), (b,a)."""
-    rows = np.stack([a, b, a, b], axis=1).ravel()
-    cols = np.stack([a, b, b, a], axis=1).ravel()
-    vals = np.stack([w, w, -w, -w], axis=1).ravel()
-    return rows, cols, vals
+def _stiffness(grid: Grid, A: CoefficientField, bc: BoundaryCondition) -> sp.csr_matrix:
+    """Stiffness on the active nodes, its CSR arrays filled from each node's 3 x 3
+    stencil (1D is the ny = 1 case).  The diagonal is summed face by face (x, then
+    y), then over the cells with the node as NE, SE, NW and SW corner: the order
+    of the face-by-face triplet sum, so both forms give the same bits."""
+    if grid.dim == 1:
+        (nx,), ny = grid.shape, 1
+        wx = (A.faces[0][:, 0, 0] / grid.spacing[0])[:, None]  # elementary stiffness h * a * (du/h)^2 -> a/h
+        wy, c, elem = np.zeros((nx, 0)), np.zeros((nx - 1, 0)), np.zeros((4, 4))
+    else:
+        (nx, ny), (hx, hy) = grid.shape, grid.spacing
+        vol = hx * hy
+        Ax, Ay = A.faces  # (nx-1, ny, 2, 2), (nx, ny-1, 2, 2)
+        wx = (vol / hx**2) * Ax[:, :, 0, 0]  # vol * A11 * ((u_E - u_W)/hx)^2 per x-face
+        wy = (vol / hy**2) * Ay[:, :, 1, 1]
+        # cross terms: cell-centered averaged gradients, A12 averaged from the
+        # four surrounding face samples.  Element contribution per cell:
+        # 2*vol*A12 * gx(u) * gy(u) with gx, gy linear in the 4 corner values.
+        c = vol * (0.25 * (Ax[:, :-1, 0, 1] + Ax[:, 1:, 0, 1] + Ay[:-1, :, 0, 1] + Ay[1:, :, 0, 1]))
+        gx = 0.5 / hx * np.array([-1.0, 1.0, -1.0, 1.0])  # SW SE NW NE order
+        gy = 0.5 / hy * np.array([-1.0, -1.0, 1.0, 1.0])
+        elem = np.outer(gx, gy) + np.outer(gy, gx)  # symmetric cross form; SW-SE, SW-NW, SE-NE, NW-NE vanish
+    vals = np.zeros((nx, ny, 3, 3))
+    d = vals[:, :, 1, 1]
+    d[1:] += wx
+    d[:-1] += wx
+    d[:, 1:] += wy
+    d[:, :-1] += wy
+    for (di, dj), p in (((1, 1), 3), ((1, 0), 1), ((0, 1), 2), ((0, 0), 0)):  # node as NE, SE, NW, SW
+        d[di : nx - 1 + di, dj : ny - 1 + dj] += c * elem[p, p]
+    vals[:-1, :, 2, 1] = vals[1:, :, 0, 1] = -wx
+    vals[:, :-1, 1, 2] = vals[:, 1:, 1, 0] = -wy
+    vals[:-1, :-1, 2, 2], vals[1:, 1:, 0, 0] = c * elem[0, 3], c * elem[3, 0]  # SW <-> NE
+    vals[1:, :-1, 0, 2], vals[:-1, 1:, 2, 0] = c * elem[1, 2], c * elem[2, 1]  # SE <-> NW
 
-
-def _stiffness_2d(grid: Grid, A: CoefficientField) -> sp.csr_matrix:
-    nx, ny = grid.shape
-    hx, hy = grid.spacing
-    vol = hx * hy
-    Ax, Ay = A.faces  # (nx-1, ny, 2, 2), (nx, ny-1, 2, 2)
-    nid = np.arange(nx * ny).reshape(nx, ny)
-
-    # x-face fluxes: vol * A11 * ((u_E - u_W)/hx)^2 per face
-    wx = (vol / hx**2) * Ax[:, :, 0, 0]
-    x_faces = _face_triplets(nid[:-1, :].ravel(), nid[1:, :].ravel(), wx.ravel())
-
-    # y-face fluxes
-    wy = (vol / hy**2) * Ay[:, :, 1, 1]
-    y_faces = _face_triplets(nid[:, :-1].ravel(), nid[:, 1:].ravel(), wy.ravel())
-
-    # cross terms: cell-centered averaged gradients, A12 averaged from the
-    # four surrounding face samples.  Element contribution per cell:
-    # 2*vol*A12 * gx(u) * gy(u) with gx, gy linear in the 4 corner values.
-    a12 = 0.25 * (
-        Ax[:, :-1, 0, 1]
-        + Ax[:, 1:, 0, 1]
-        + Ay[:-1, :, 0, 1]
-        + Ay[1:, :, 0, 1]
-    )
-    gx = 0.5 / hx * np.array([-1.0, 1.0, -1.0, 1.0])  # SW SE NW NE order
-    gy = 0.5 / hy * np.array([-1.0, -1.0, 1.0, 1.0])
-    elem = np.outer(gx, gy) + np.outer(gy, gx)  # symmetric cross form
-    corners = np.stack(
-        [nid[:-1, :-1], nid[1:, :-1], nid[:-1, 1:], nid[1:, 1:]], axis=-1
-    ).reshape(-1, 4)
-    # per cell, the 16 entries in row-major order (the triplet order fixes the
-    # order in which tocsr sums duplicates); zero entries (zero A12 or a zero
-    # of the element form) are not stored
-    cell_vals = (vol * a12).reshape(-1, 1, 1) * elem
-    keep = cell_vals != 0.0
-    shape = cell_vals.shape
-    cross = (
-        np.broadcast_to(corners[:, :, None], shape)[keep],
-        np.broadcast_to(corners[:, None, :], shape)[keep],
-        cell_vals[keep],
-    )
-
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(x_faces, y_faces, cross))
-    n = nx * ny
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    active = grid.active_mask(bc).reshape(nx, ny)
+    pos = np.full((nx + 2, ny + 2), -1)
+    pos[1:-1, 1:-1][active] = np.arange(np.count_nonzero(active))
+    cols = np.lib.stride_tricks.sliding_window_view(pos, (3, 3))  # active position of node (i+di, j+dj)
+    keep = active[:, :, None, None] & (cols >= 0) & (_FACE_SLOTS | (vals != 0.0))
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=(2, 3))[active])])
+    n = indptr.size - 1
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
 def _kronecker_factors(op: DiscreteOperator):
@@ -181,16 +171,8 @@ def assemble(grid: Grid, A: CoefficientField, bc: BoundaryCondition) -> Discrete
     if rep.lambda1_observed <= 0:
         raise GridError("coefficient field is not positive definite on samples")
 
-    if grid.dim == 1:
-        K = _stiffness_1d(grid, A)
-    else:
-        K = _stiffness_2d(grid, A)
-
-    mask = grid.active_mask(bc).ravel()
-    idx = np.flatnonzero(mask)
-    K = K[np.ix_(idx, idx)]
-    M = (K / grid.cell_volume).tocsr()
-    M.sum_duplicates()
+    M = _stiffness(grid, A, bc)
+    M.data *= 1.0 / grid.cell_volume  # by the reciprocal, as `csr / scalar` does: the bits of M / cell_volume
     return DiscreteOperator(grid, bc, A, M)
 
 

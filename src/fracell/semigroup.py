@@ -250,9 +250,9 @@ def heat_apply_stepped(
         raise ValueError(f"unknown scheme {scheme!r}")
     L, vec = op.matrix, op.restrict(u)
     h = t / steps if scheme == "implicit" else 0.5 * t / steps
-    solve = _resolvent(L, _upper_band(L), abs(L).sum(axis=1).max(), h)
+    solve = _resolvent(L, _upper_band(L), abs(L).sum(axis=1).max(), np.array([h]))
     for _ in range(steps):
-        vec = solve(vec if scheme == "implicit" else vec - h * (L @ vec))
+        vec = solve((vec if scheme == "implicit" else vec - h * (L @ vec))[None])[0]
     return op.embed(vec)
 
 
@@ -266,21 +266,30 @@ def _upper_band(matrix: sp.csr_matrix) -> np.ndarray:
     return ab
 
 
-def _resolvent(L: sp.csr_matrix, band: np.ndarray, norm_L: float, dt: float):
-    """b -> (I + dt L)^{-1} b for a symmetric L with upper band `band`
-    (`_upper_band`) and max-norm `norm_L`: one banded Cholesky factor
-    (`dpbtrf`), then per call one back-solve (`dpbtrs`) whose backward error
-    is gated (||I + dt L|| <= 1 + dt norm_L)."""
-    ab = dt * band
+_STACK_ROWS = 1 << 14  # matrix rows of one stacked resolvent band, which holds kd + 1 floats per row
+
+
+def _resolvent(L: sp.csr_matrix, band: np.ndarray, norm_L: float, dt: np.ndarray):
+    """B -> V, V[j] = (I + dt[j] L)^{-1} B[j], for a symmetric L with upper band
+    `band` (`_upper_band`) and max-norm `norm_L`.  The blocks I + dt[j] L are
+    stacked as one block-diagonal band (same kd, zero coupling): one banded
+    Cholesky factor (`dpbtrf`) covers them all, and per call one back-solve
+    (`dpbtrs`) solves them all, each block's backward error gated with its
+    own norms (||I + dt L|| <= 1 + dt norm_L)."""
+    (kd1, n), k = band.shape, dt.size
+    _check_memory((2 * kd1 + 6) * k * n, f"{k} stacked resolvents of {n} unknowns")  # band, factor, ~6 vectors
+    ab = np.multiply(dt[:, None, None], band.T).reshape(k * n, kd1).T  # Fortran order, block j in columns j*n..
     ab[-1] += 1.0
     chol, info = dpbtrf(ab)
     if info != 0:
-        raise QuadratureError(f"Cholesky of I + {dt:.3e} L failed (info={info})")
+        j = max(info - 1, 0) // n
+        raise QuadratureError(f"Cholesky of I + {dt[j]:.3e} L failed (info={info - j * n})")
 
-    def solve(b: np.ndarray) -> np.ndarray:
-        v = dpbtrs(chol, b)[0]
-        _gate_backward_error(v + dt * (L @ v) - b, 1.0 + dt * norm_L, v, b, "resolvent solve", QuadratureError)
-        return v
+    def solve(B: np.ndarray) -> np.ndarray:
+        V = dpbtrs(chol, B.ravel())[0].reshape(k, n)
+        resid = V + dt[:, None] * (L @ V.T).T - B
+        _gate_backward_error(resid, 1.0 + dt * norm_L, V, B, "resolvent solve", QuadratureError, axis=-1)
+        return V
 
     return solve
 
@@ -299,9 +308,12 @@ def balakrishnan_apply(
     DiscreteOperator, eigen-free: e^{-tL} becomes R^m, R = (I + (t/m) L)^{-1},
     m = steps_per_node, and the sum is divided by the exact m-step constant
     C_m(s) = Gamma(1-s) Gamma(m+s) / (s Gamma(m) m^s) (C_1 = pi/sin(pi s),
-    C_m -> |Gamma(-s)|).  Per node one banded Cholesky factor gives
-    u - R^m u = sum_{k<m} R^{k+1} ((t/m) L u) without cancellation, each
-    back-solve's backward error gated (`_resolvent`); the rule of
+    C_m -> |Gamma(-s)|).  u - R^m u = sum_{k<m} R^{k+1} ((t/m) L u) is
+    summed without cancellation, a node stopping once its terms fall below
+    rounding.  The nodes are taken in chunks of at most _STACK_ROWS matrix
+    rows; a chunk's resolvents are one stacked band, factored by one
+    `dpbtrf` call and solved by one `dpbtrs` call per step, each node's
+    backward error gated (`_resolvent`).  The rule of
     `SingularQuadrature.for_spectrum` is calibrated for this integrand too.
     """
     if q.exponent != s:
@@ -316,17 +328,19 @@ def balakrishnan_apply(
     m, L = steps_per_node, op.matrix
     band, norm_L = _upper_band(L), abs(L).sum(axis=1).max()
     Lu = L @ op.restrict(u)
-    acc = np.zeros_like(Lu)
-    for t_j, w_j in zip(q.nodes, q.weights):
-        dt = t_j / m
+    acc, per = np.zeros_like(Lu), max(1, _STACK_ROWS // Lu.size)
+    for lo in range(0, q.size, per):  # the nodes of one chunk are one stacked band
+        dt, w = q.nodes[lo : lo + per] / m, q.weights[lo : lo + per]
         solve = _resolvent(L, band, norm_L, dt)
-        v, node = dt * Lu, np.zeros_like(Lu)
+        V, node, done = dt[:, None] * Lu, np.zeros((dt.size, Lu.size)), np.zeros(dt.size, dtype=bool)
         for _ in range(m):
-            v = solve(v)
-            node += v
-            if np.abs(v).max() <= np.finfo(float).eps * np.abs(node).max():  # terms shrink; the rest is rounding
+            V = solve(V)
+            node += V
+            done |= np.abs(V).max(axis=1) <= np.finfo(float).eps * np.abs(node).max(axis=1)  # terms shrink; the rest is rounding
+            if done.all():
                 break
-        acc += w_j * node
+            V[done] = 0.0  # a finished node solves zero, which its gate passes
+        acc = np.add.accumulate(np.vstack([acc, w[:, None] * node]))[-1]  # in node order, as acc += w_j * node_j
     c_m = math.exp(gammaln(1 - s) + gammaln(m + s) - gammaln(m) - math.log(s) - s * math.log(m))
     return op.embed(acc / c_m)
 

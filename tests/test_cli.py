@@ -102,6 +102,21 @@ def test_converge_checks_its_finest_mesh_before_any_level(tmp_path, capsys, monk
     assert err.startswith("config error: key 's':") and "2048-layer" in err
 
 
+def test_converge_counts_the_finest_y_nodes_before_any_mesh(tmp_path, capsys, monkeypatch):
+    # memory for 30 floats per finest base node (33) but not for the 257 y-nodes of the finest mesh
+    import fracell.cli as cli
+    from fracell import spectral
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before its y-nodes were counted")
+
+    monkeypatch.setattr(cli, "_extension_mesh", no_mesh)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1.01 * 8 * 30 * 33)
+    assert main(["converge", "--nodes=9", "--layers=64", "--levels=3", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nodes':") and "64 layers" in err
+
+
 def test_converge_two_levels(tmp_path):
     cfg = RunConfig("converge", {"nodes": "34", "layers": "16", "levels": "2", "s": "0.5"})
     result = run(cfg, out_dir=tmp_path)

@@ -30,9 +30,10 @@ def test_kernel_csv_bytes_match_the_joined_lines(tmp_path):
 
 
 def test_kernel_csv_streams_its_rows(tmp_path):
+    # 14^2 = 196 rows of ~5 KB each: a file of ~1 MB, many row buffers long
     import tracemalloc
 
-    K = _kernel_2d(24)
+    K = _kernel_2d(16)
     path = tmp_path / "kernel.csv"
     tracemalloc.start()
     try:

@@ -14,7 +14,7 @@ from fracell import (
     assemble,
 )
 from fracell.grids import GridError
-from fracell.operators import _stiffness_2d
+from fracell.operators import _stiffness
 
 
 def test_unit_interval_stencil():
@@ -200,10 +200,108 @@ def _stiffness_2d_loops(grid, A):
 
 @pytest.mark.parametrize("field", ["identity", "rotated"])
 def test_stiffness_2d_matches_loop_reference(field):
-    # same COO triplet sequence, so the CSR arrays agree bit for bit
+    # the stencil sums in the loop's duplicate order, so the CSR arrays agree bit for bit
     g = Grid((1.0, 2.0), (9, 13))
     A = CoefficientField.identity(g) if field == "identity" else _rotated_field(g)
-    got = _stiffness_2d(g, A)
+    got = _stiffness(g, A, NEUMANN)
     ref = _stiffness_2d_loops(g, A)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
+def _coo_assemble(grid, A, bc):
+    """The face-by-face COO assembly the CSR fill replaced: triplets per face
+    and per cell, `tocsr` sums the duplicates, the inactive rows and columns
+    are cut out and the result is divided by the cell volume."""
+
+    def faces(a, b, w):
+        return (
+            np.stack([a, b, a, b], axis=1).ravel(),
+            np.stack([a, b, b, a], axis=1).ravel(),
+            np.stack([w, w, -w, -w], axis=1).ravel(),
+        )
+
+    if grid.dim == 1:
+        w = A.faces[0][:, 0, 0] / grid.spacing[0]
+        diag = np.zeros(w.size + 1)
+        diag[:-1] += w
+        diag[1:] += w
+        K = sp.diags([-w, diag, -w], offsets=[-1, 0, 1], format="csr")
+    else:
+        (nx, ny), (hx, hy) = grid.shape, grid.spacing
+        vol = hx * hy
+        Ax, Ay = A.faces
+        nid = np.arange(nx * ny).reshape(nx, ny)
+        x_faces = faces(nid[:-1, :].ravel(), nid[1:, :].ravel(), ((vol / hx**2) * Ax[:, :, 0, 0]).ravel())
+        y_faces = faces(nid[:, :-1].ravel(), nid[:, 1:].ravel(), ((vol / hy**2) * Ay[:, :, 1, 1]).ravel())
+        a12 = 0.25 * (Ax[:, :-1, 0, 1] + Ax[:, 1:, 0, 1] + Ay[:-1, :, 0, 1] + Ay[1:, :, 0, 1])
+        gx = 0.5 / hx * np.array([-1.0, 1.0, -1.0, 1.0])
+        gy = 0.5 / hy * np.array([-1.0, -1.0, 1.0, 1.0])
+        elem = np.outer(gx, gy) + np.outer(gy, gx)
+        corners = np.stack([nid[:-1, :-1], nid[1:, :-1], nid[:-1, 1:], nid[1:, 1:]], axis=-1).reshape(-1, 4)
+        cell_vals = (vol * a12).reshape(-1, 1, 1) * elem
+        keep = cell_vals != 0.0
+        shape = cell_vals.shape
+        cross = (
+            np.broadcast_to(corners[:, :, None], shape)[keep],
+            np.broadcast_to(corners[:, None, :], shape)[keep],
+            cell_vals[keep],
+        )
+        rows, cols, vals = (np.concatenate(parts) for parts in zip(x_faces, y_faces, cross))
+        K = sp.coo_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny)).tocsr()
+    idx = np.flatnonzero(grid.active_mask(bc).ravel())
+    M = (K[np.ix_(idx, idx)] / grid.cell_volume).tocsr()
+    M.sum_duplicates()
+    return M
+
+
+def _cross_field(grid, where):
+    """A rotated field with A12 as is ("full"), zero ("none") or zero on x < L/2 ("half")."""
+
+    def fn(x, y):
+        th = 0.4 + 0.5 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
+        c, s = np.cos(th), np.sin(th)
+        keep = {"full": 1.0, "none": 0.0, "half": x >= 0.5 * grid.extents[0]}[where]
+        a = np.empty(x.shape + (2, 2))
+        a[..., 0, 0] = c * c + 0.3 * s * s
+        a[..., 1, 1] = s * s + 0.3 * c * c
+        a[..., 0, 1] = a[..., 1, 0] = np.where(keep, 0.7 * c * s, 0.0)
+        return a
+
+    return CoefficientField.from_callable(grid, fn)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("cross", ["full", "none", "half"])
+@pytest.mark.parametrize(
+    "extents, shape",
+    [((1.0, 1.0), (5, 5)), ((1.0, 2.5), (9, 17)), ((0.3, 1.0), (33, 12)), ((1.0, 1.0), (8, 8)), ((1.0, 1.0), (24, 24)), ((1.0, 1.0), (128, 128))],
+    ids=str,
+)
+def test_assemble_matches_the_coo_assembly_bit_for_bit(extents, shape, cross, bc):
+    g = Grid(extents, shape)
+    A = _cross_field(g, cross)
+    got, ref = assemble(g, A, bc).matrix, _coo_assemble(g, A, bc)
+    assert got.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_assemble_1d_matches_the_tridiagonal_assembly_bit_for_bit(bc):
+    g = Grid((1.7,), (130,))
+    A = CoefficientField.from_callable(g, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    got, ref = assemble(g, A, bc).matrix, _coo_assemble(g, A, bc)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
+def test_assemble_2d_builds_no_coo_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembly built a COO matrix")
+
+    for name in ("coo_matrix", "coo_array"):
+        monkeypatch.setattr(sp, name, refuse)
+    g = Grid((1.0, 1.0), (24, 24))
+    for bc in (DIRICHLET, NEUMANN):
+        assert assemble(g, _rotated_field(g), bc).matrix.nnz > 0

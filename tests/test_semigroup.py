@@ -301,6 +301,99 @@ def test_balakrishnan_apply_eigenfree_refuses_neumann(op_neumann, basis_neumann,
         balakrishnan_apply(op_neumann, u, 0.5, q)
 
 
+def _per_node_apply(op, u, s, q, m):
+    """The eigen-free apply node by node: one `dpbtrf` factor and m `dpbtrs`
+    back-solves per quadrature node, summed in node order."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.special import gammaln
+
+    from fracell.semigroup import _upper_band
+
+    L = op.matrix
+    band, Lu = _upper_band(L), L @ op.restrict(u)
+    acc = np.zeros_like(Lu)
+    for t_j, w_j in zip(q.nodes, q.weights):
+        dt = t_j / m
+        ab = dt * band
+        ab[-1] += 1.0
+        chol, info = dpbtrf(ab)
+        assert info == 0
+        v, node = dt * Lu, np.zeros_like(Lu)
+        for _ in range(m):
+            v = dpbtrs(chol, v)[0]
+            node += v
+            if np.abs(v).max() <= np.finfo(float).eps * np.abs(node).max():
+                break
+        acc += w_j * node
+    c_m = math.exp(gammaln(1 - s) + gammaln(m + s) - gammaln(m) - math.log(s) - s * math.log(m))
+    return op.embed(acc / c_m)
+
+
+@pytest.mark.parametrize("steps, s", [(m, s) for m in (1, 2, 5) for s in (0.25, 0.75)] + [(128, 0.25)])
+def test_stacked_resolvents_match_the_per_node_loop_1d(op_variable, basis_variable, rng, steps, s):
+    # kd = 1: the stacked band factors and solves each block exactly as alone; at
+    # m = 128 most nodes stop early, and a stopped node must add nothing more
+    u = random_dirichlet_field(op_variable, rng)
+    q = SingularQuadrature.for_spectrum(s, basis_variable.lambda_min_positive, basis_variable.lambda_max)
+    got = balakrishnan_apply(op_variable, u, s, q, steps_per_node=steps)
+    assert np.array_equal(got.values, _per_node_apply(op_variable, u, s, q, steps).values)
+
+
+def test_stacked_resolvents_match_the_per_node_loop_2d(rng):
+    # kd = 33 >= 32, where dpbtrf may block a stack differently from one node
+    g = Grid((1.0, 1.0), (34, 34))
+    op = assemble(g, _rotated(g), DIRICHLET)
+    u = random_dirichlet_field(op, rng)
+    norm_L = abs(op.matrix).sum(axis=1).max()
+    q = SingularQuadrature.for_spectrum(0.5, 1.0, norm_L, tol=1e-6, dtau=1.0)
+    got, ref = balakrishnan_apply(op, u, 0.5, q, steps_per_node=2), _per_node_apply(op, u, 0.5, q, 2)
+    assert np.abs(got.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
+
+
+def test_stacked_resolvents_stay_within_the_row_budget(rng, monkeypatch):
+    import fracell.semigroup as semigroup
+
+    shapes, floats = [], []
+    exact_trf, exact_check = semigroup.dpbtrf, semigroup._check_memory
+
+    def recording_trf(ab):
+        shapes.append(ab.shape)
+        return exact_trf(ab)
+
+    def recording_check(n, what):
+        floats.append(n)
+        exact_check(n, what)
+
+    monkeypatch.setattr(semigroup, "dpbtrf", recording_trf)
+    monkeypatch.setattr(semigroup, "_check_memory", recording_check)
+    g = Grid((1.0, 1.0), (24, 24))
+    op = assemble(g, _rotated(g), DIRICHLET)
+    q = SingularQuadrature.for_spectrum(0.5, 1.0, abs(op.matrix).sum(axis=1).max())
+    balakrishnan_apply(op, random_dirichlet_field(op, rng), 0.5, q)
+    kd1 = semigroup._upper_band(op.matrix).shape[0]
+    assert len(shapes) > 1 and len(floats) == len(shapes)  # chunked, each chunk checked
+    assert all(shape == (kd1, shape[1]) and shape[1] <= semigroup._STACK_ROWS for shape in shapes)
+    assert sum(shape[1] for shape in shapes) == q.size * op.size
+    assert max(floats) <= (2 * kd1 + 6) * semigroup._STACK_ROWS
+
+
+def test_stacked_resolvent_gate_trips_on_one_node(op_variable, basis_variable, rng, monkeypatch):
+    # only the first block of each stack is perturbed; the others pass
+    import fracell.semigroup as semigroup
+
+    exact, n = semigroup.dpbtrs, op_variable.size
+
+    def perturbed(c, b):
+        x = exact(c, b)[0]
+        x[:n] *= 1.0 + 1e-9
+        return x, 0
+
+    monkeypatch.setattr(semigroup, "dpbtrs", perturbed)
+    q = SingularQuadrature.for_spectrum(0.5, basis_variable.lambda_min_positive, basis_variable.lambda_max)
+    with pytest.raises(QuadratureError, match="backward error"):
+        balakrishnan_apply(op_variable, random_dirichlet_field(op_variable, rng), 0.5, q)
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
