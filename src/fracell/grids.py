@@ -206,19 +206,21 @@ class CoefficientField:
     1D: `faces[0]` has shape (n-1, 1, 1) (scalar per edge).
     2D: `faces[0]` shape (nx-1, ny, 2, 2) at x-faces and `faces[1]` shape
     (nx, ny-1, 2, 2) at y-faces.
-    Lambda1/Lambda2 are the declared ellipticity constants.
+    `eigen_range` holds the exact smallest and largest eigenvalue over all
+    face samples; a field whose smallest one is not positive is refused
+    here, so no consumer checks ellipticity again.  Lambda1/Lambda2 are the
+    declared ellipticity constants and default to `eigen_range`.
     """
 
     grid: Grid
     faces: tuple[np.ndarray, ...]
-    lambda1: float
-    lambda2: float
+    lambda1: float | None = None
+    lambda2: float | None = None
+    eigen_range: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         if len(self.faces) != self.grid.dim:
             raise GridError("need one face-sample array per axis")
-        if self.lambda1 <= 0 or self.lambda2 < self.lambda1:
-            raise GridError("ellipticity constants must satisfy 0 < Lambda1 <= Lambda2")
         faces = []
         for axis, arr in enumerate(self.faces):
             arr = np.asarray(arr, dtype=float)
@@ -233,21 +235,23 @@ class CoefficientField:
             if not np.allclose(arr, np.swapaxes(arr, -1, -2), rtol=0, atol=0):
                 raise GridError("coefficient samples must be exactly symmetric")
             faces.append(arr)
+        lo, hi = _eigen_range(faces)
+        if not lo > 0:
+            raise GridError("coefficient field is not positive definite on samples")
         object.__setattr__(self, "faces", tuple(faces))
+        object.__setattr__(self, "eigen_range", (lo, hi))
+        object.__setattr__(self, "lambda1", lo if self.lambda1 is None else self.lambda1)
+        object.__setattr__(self, "lambda2", hi if self.lambda2 is None else self.lambda2)
+        if self.lambda1 <= 0 or self.lambda2 < self.lambda1:
+            raise GridError("ellipticity constants must satisfy 0 < Lambda1 <= Lambda2")
 
     @classmethod
-    def from_callable(
-        cls,
-        grid: Grid,
-        fn: Callable,
-        lambda1: float | None = None,
-        lambda2: float | None = None,
-    ) -> "CoefficientField":
+    def from_callable(cls, grid: Grid, fn: Callable) -> "CoefficientField":
         """Sample a matrix-valued callable A(x[, y]) at face midpoints.
 
         The callable may return a scalar (isotropic), which is promoted to
-        a multiple of the identity.  Declared constants default to the
-        sampled extremes.
+        a multiple of the identity.  The declared constants are the sampled
+        eigenvalue extremes.
         """
         d = grid.dim
         faces = []
@@ -265,15 +269,11 @@ class CoefficientField:
             else:
                 raise GridError(f"callable returned unexpected shape {raw.shape}")
             faces.append(arr)
-        if lambda1 is None or lambda2 is None:
-            lo, hi = _sampled_extremes(tuple(faces), d)
-            lambda1 = lo if lambda1 is None else lambda1
-            lambda2 = hi if lambda2 is None else lambda2
-        return cls(grid, tuple(faces), lambda1, lambda2)
+        return cls(grid, tuple(faces))
 
     @classmethod
     def identity(cls, grid: Grid) -> "CoefficientField":
-        return cls.from_callable(grid, lambda *xs: np.ones_like(xs[0]), 1.0, 1.0)
+        return cls.from_callable(grid, lambda *xs: np.ones_like(xs[0]))
 
     @classmethod
     def constant(cls, grid: Grid, matrix) -> "CoefficientField":
@@ -283,32 +283,26 @@ class CoefficientField:
             mat = mat[0, 0] * np.eye(2)
         if mat.shape != (d, d):
             raise GridError(f"constant coefficient must be {d}x{d}")
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        return cls.from_callable(
-            grid,
-            lambda *xs: np.broadcast_to(mat, xs[0].shape + (d, d)).copy(),
-            float(eigs.min()),
-            float(eigs.max()),
-        )
+        return cls.from_callable(grid, lambda *xs: np.broadcast_to(mat, xs[0].shape + (d, d)).copy())
 
 
-def _direction_set(dim: int, n_dirs: int = 16) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    ang = np.linspace(0.0, np.pi, n_dirs, endpoint=False)
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+def _eigen_range(faces: Sequence[np.ndarray]) -> tuple[float, float]:
+    """Smallest and largest eigenvalue over all symmetric face samples: the
+    scalar itself in 1D, (a+c)/2 -+ hypot((a-c)/2, b) for [[a, b], [b, c]]."""
+
+    def entries(i, j):
+        return np.concatenate([arr[..., i, j].ravel() for arr in faces])
+
+    if len(faces) == 1:
+        lo = hi = entries(0, 0)
+    else:
+        a, b, c = entries(0, 0), entries(0, 1), entries(1, 1)
+        mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+        lo, hi = mid - rad, mid + rad
+    return float(lo.min()), float(hi.max())
 
 
-def _sampled_extremes(faces: Sequence[np.ndarray], dim: int) -> tuple[float, float]:
-    dirs = _direction_set(dim)
-    lo, hi = np.inf, -np.inf
-    for arr in faces:
-        flat = arr.reshape(-1, dim, dim)
-        for xi in dirs:
-            q = np.einsum("i,nij,j->n", xi, flat, xi)
-            lo = min(lo, float(q.min()))
-            hi = max(hi, float(q.max()))
-    return lo, hi
+_ELLIPTICITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -320,13 +314,19 @@ class EllipticityReport:
     passed: bool
 
 
-def ellipticity_check(A: CoefficientField, rtol: float = 1e-12) -> EllipticityReport:
-    """Min/max Rayleigh quotients of the sampled coefficient over a test
-    direction set (unit circle in 2D, +-1 in 1D).  Report-only."""
-    lo, hi = _sampled_extremes(A.faces, A.grid.dim)
-    tol = rtol * max(1.0, abs(A.lambda2))
-    ok = (lo >= A.lambda1 - tol) and (hi <= A.lambda2 + tol) and lo > 0
+def ellipticity_check(A: CoefficientField) -> EllipticityReport:
+    """Report the sampled eigenvalue extremes against the declared
+    constants, to a relative 1e-12.  Report-only: positivity was checked
+    when the field was built."""
+    lo, hi = A.eigen_range
+    tol = _ELLIPTICITY_RTOL * max(1.0, abs(A.lambda2))
+    ok = lo >= A.lambda1 - tol and hi <= A.lambda2 + tol
     return EllipticityReport(lo, hi, A.lambda1, A.lambda2, ok)
+
+
+def _node_points(grid: Grid) -> np.ndarray:
+    """Node coordinates as a (num_nodes, dim) array in C order."""
+    return np.stack([c.ravel() for c in grid.coords()], axis=1)
 
 
 def hs_seminorm(u: GridFunction, s: float) -> float:

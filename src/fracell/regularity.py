@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, _node_points
 from .spectral import EigenBasis, fractional_solve
 
 __all__ = [
@@ -98,7 +98,7 @@ class ExponentFit:
 
 
 def _ball_masks(grid: Grid, center, radii):
-    pts = np.stack([c.ravel() for c in grid.coords()], axis=1)
+    pts = _node_points(grid)
     c = np.asarray(center, dtype=float)
     dist = np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
     masks = []
@@ -290,7 +290,7 @@ def harnack_quotient(
     fails nonnegativity inside it.
     """
     grid = basis.grid
-    pts = np.stack([c.ravel() for c in grid.coords()], axis=1)
+    pts = _node_points(grid)
     c = np.asarray(ball_center, dtype=float)
     dist = np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
     in_ball = dist <= ball_radius
@@ -319,7 +319,7 @@ def lp_spike(grid: Grid, center, p: float, eps: float = 0.01) -> GridFunction:
 
     truncated at the grid scale so the sample stays finite.
     """
-    pts = np.stack([c.ravel() for c in grid.coords()], axis=1)
+    pts = _node_points(grid)
     c = np.asarray(center, dtype=float)
     dist = np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
     h = max(grid.spacing)

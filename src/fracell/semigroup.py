@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import gamma as gamma_fn, gammaln
 
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, _node_points
 from .operators import DiscreteOperator, _gate_backward_error
 from .spectral import EigenBasis, _check_memory
 
@@ -183,13 +183,17 @@ class SingularQuadrature:
         }
 
 
+def _check_exponent(q: SingularQuadrature, exponent: float, name: str = "s") -> None:
+    if q.exponent != exponent:
+        raise QuadratureError(f"rule exponent {q.exponent} does not match {name}={exponent}")
+
+
 def balakrishnan_scalar(lam: float, s: float, q: SingularQuadrature) -> float:
     """lambda^s by the Gamma-function representation
     lambda^s = (1/Gamma(-s)) int_0^inf (e^{-t lambda} - 1) dt/t^{1+s}."""
     if lam <= 0:
         raise QuadratureError("balakrishnan_scalar needs lambda > 0")
-    if q.exponent != s:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
+    _check_exponent(q, s)
     val = float(q.integrate(lambda t: np.expm1(-lam * t)))
     return val / gamma_fn(-s)
 
@@ -209,8 +213,7 @@ def _mode_poisson(basis: EigenBasis, s: float, y: float, q: SingularQuadrature |
     if q is None:
         has_kernel = bool(np.any(basis.eigenvalues == 0.0))
         q = SingularQuadrature.for_poisson(s, y, basis.lambda_min_positive, has_kernel)
-    if q.exponent != s:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
+    _check_exponent(q, s)
 
     def factor(lam):
         vals = q.integrate(
@@ -316,8 +319,7 @@ def balakrishnan_apply(
     backward error gated (`_resolvent`).  The rule of
     `SingularQuadrature.for_spectrum` is calibrated for this integrand too.
     """
-    if q.exponent != s:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
+    _check_exponent(q, s)
     if isinstance(source, EigenBasis):
         return source.apply_fn(lambda lam: _mode_balakrishnan(lam, s, q), u)
     op: DiscreteOperator = source
@@ -393,8 +395,7 @@ class KernelMatrix:
         return self.basis.weight * self.entries.sum(axis=1)
 
     def active_coords(self) -> np.ndarray:
-        pts = np.stack([c.ravel() for c in self.grid.coords()], axis=1)
-        return pts[self.basis.active_mask.ravel()]
+        return _node_points(self.grid)[self.basis.active_mask.ravel()]
 
     def pair_data(
         self,
@@ -437,8 +438,7 @@ def jump_kernel(basis: EigenBasis, s: float, q: SingularQuadrature) -> KernelMat
     exact while staying numerically stable.  The diagonal (divergent in the
     continuum) is stored as zero and excluded from every assertion.
     """
-    if q.exponent != s:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
+    _check_exponent(q, s)
     # int (W_t - completeness) dt/t^{1+s} = Phi diag(Gamma(-s) lam^s) Phi^T
     K = basis.kernel(lambda lam: gamma_fn(-s) * _mode_balakrishnan(lam, s, q))
     K /= 2.0 * abs(gamma_fn(-s))
@@ -470,8 +470,7 @@ def killing_term(basis: EigenBasis, s: float, q: SingularQuadrature) -> KillingF
     the discrete level.  Vanishes identically under Neumann conditions,
     where the semigroup preserves constants.
     """
-    if q.exponent != s:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
+    _check_exponent(q, s)
     ones = GridFunction.ones(basis.grid)
     B = basis.apply_fn(lambda lam: _mode_balakrishnan(lam, s, q), ones)
     return KillingField(basis, s, B)
@@ -524,8 +523,7 @@ def greens_function_quadrature(
         raise ValueError("Green function requires a strictly positive spectrum")
     if q is None:
         q = SingularQuadrature.for_inverse(s, float(lam.min()), float(lam.max()))
-    if q.exponent != -s:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match -s={-s}")
+    _check_exponent(q, -s, "-s")
     G = basis.kernel(
         lambda lam: q.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)
     )

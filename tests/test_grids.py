@@ -48,28 +48,63 @@ def test_grid_function_shape_check():
         GridFunction(g, np.zeros(4))
 
 
-def test_ellipticity_identity():
-    g = Grid((1.0,), (9,))
-    rep = ellipticity_check(CoefficientField.identity(g))
-    assert rep.lambda1_observed == 1.0 == rep.lambda2_observed
+def _rotated(theta, eigs):
+    """Constant field A = R(theta) diag(eigs) R(theta)^T, sampled at the faces."""
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    mat = R @ np.diag(eigs) @ R.T
+    return lambda g: CoefficientField.from_callable(g, lambda x, y: np.broadcast_to(mat, x.shape + (2, 2)).copy())
+
+
+@pytest.mark.parametrize(
+    "shape, build, lo, hi, atol",
+    [
+        ((9,), CoefficientField.identity, 1.0, 1.0, 0.0),
+        ((5, 5), lambda g: CoefficientField.constant(g, np.diag([2.0, 0.5])), 0.5, 2.0, 0.0),
+        # faces at odd multiples of 1/12 include the extrema x = 1/4, 3/4
+        ((7,), lambda g: CoefficientField.from_callable(g, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x)), 0.5, 1.5, 1e-14),
+        # eigenvectors between 16 sampled directions: a direction search would report 0.3051, 0.9949
+        ((5, 5), _rotated(0.7, [1.0, 0.3]), 0.3, 1.0, 1e-15),
+    ],
+    ids=["identity", "diagonal", "oscillating", "rotated"],
+)
+def test_ellipticity_report_is_exact(shape, build, lo, hi, atol):
+    A = build(Grid((1.0,) * len(shape), shape))
+    rep = ellipticity_check(A)
+    assert abs(rep.lambda1_observed - lo) <= atol and abs(rep.lambda2_observed - hi) <= atol
+    assert (rep.lambda1_declared, rep.lambda2_declared) == A.eigen_range
     assert rep.passed
 
 
-def test_ellipticity_diagonal_constant():
-    g = Grid((1.0, 1.0), (5, 5))
-    A = CoefficientField.constant(g, np.diag([2.0, 0.5]))
-    rep = ellipticity_check(A)
-    assert rep.lambda1_observed == pytest.approx(0.5)
-    assert rep.lambda2_observed == pytest.approx(2.0)
+def _negative_sample(g):
+    faces = np.ones((g.shape[0] - 1, 1, 1))
+    faces[3] = -0.1
+    return CoefficientField(g, (faces,), 1.0, 2.0)
 
 
-def test_ellipticity_oscillating_coefficient():
-    # faces at odd multiples of 1/12 include the extrema x = 1/4, 3/4
-    g = Grid((1.0,), (7,))
-    A = CoefficientField.from_callable(g, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
-    rep = ellipticity_check(A)
-    assert rep.lambda1_observed == pytest.approx(0.5, abs=1e-14)
-    assert rep.lambda2_observed == pytest.approx(1.5, abs=1e-14)
+@pytest.mark.parametrize(
+    "shape, build",
+    [
+        # indefinite, yet positive on 16 sampled directions
+        ((5, 5), _rotated(math.pi / 32, [-0.005, 1.0])),
+        # declared constants do not stand in for the samples
+        ((9,), _negative_sample),
+    ],
+    ids=["indefinite-between-directions", "declared-constants"],
+)
+def test_non_positive_field_refused_at_construction(shape, build):
+    with pytest.raises(GridError, match="not positive definite on samples"):
+        build(Grid((1.0,) * len(shape), shape))
+
+
+def test_declared_constants_that_miss_the_samples_fail_the_report():
+    g = Grid((1.0,), (9,))
+    faces = np.full((8, 1, 1), 2.0)
+    rep = ellipticity_check(CoefficientField(g, (faces,), 1.0, 1.5))
+    assert (rep.lambda1_observed, rep.lambda2_observed) == (2.0, 2.0)
+    assert not rep.passed
+    with pytest.raises(GridError, match="0 < Lambda1 <= Lambda2"):
+        CoefficientField(g, (faces,), 2.0, 1.0)
 
 
 def test_coefficient_symmetry_enforced():

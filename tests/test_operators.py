@@ -120,7 +120,7 @@ def test_assembly_rejects_small_grid_and_bad_coefficient():
     g = Grid((1.0,), (9,))
     with pytest.raises(GridError):
         CoefficientField.from_callable(g, lambda x: x - 0.5)  # not positive
-        # sampled extremes include negatives -> lambda1 <= 0
+        # samples change sign -> refused where the field is built
 
 
 def _rotated_field(grid, theta0=0.4, ratio=0.3):
