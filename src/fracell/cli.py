@@ -14,7 +14,7 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -324,7 +324,7 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         tol = cfg.get_float("slope_tol", 0.15, lo=0.0)
         assertions.append(_assertion("jump_kernel_slope", fit.slope, target, tol, "abs"))
         assertions.append(_assertion("kernel_symmetry", K.symmetry_defect(), 0.0, 1e-10))
-        payload["fit"] = fit.as_dict()
+        payload["fit"] = asdict(fit)
     else:
         G = greens_function(basis, s)
         _check_memory(3 * basis.size**2, f"a second Green kernel of {basis.size} unknowns")  # G is held
@@ -334,7 +334,7 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         assertions.append(_assertion("greens_symmetry", G.symmetry_defect(), 0.0, 1e-10))
         if n == 2 * s:  # 1D, s = 1/2: logarithmic regime
             with _fit_needs_nodes():
-                fit = kernel_log_fit(G)
+                fit = kernel_log_fit(G, **window)
             assertions.append(_assertion("greens_log_r2", -fit.r2, -0.99, 0.0))
         else:
             with _fit_needs_nodes():
@@ -342,7 +342,7 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
             target = -(n - 2 * s)
             tol = cfg.get_float("slope_tol", 0.1, lo=0.0)
             assertions.append(_assertion("greens_slope", fit.slope, target, tol, "abs"))
-        payload["fit"] = fit.as_dict()
+        payload["fit"] = asdict(fit)
         payload["route_agreement"] = routes
     if cfg.get_bool("write_kernel"):
         kernel_obj = K if kind == "jump" else G
@@ -407,6 +407,9 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
     layers = cfg.get_int("layers", 64, lo=5)  # dtn_extract fits 4 layers below the lid
     gamma = _optional_float(cfg, "gamma")
+    write_field = cfg.get_bool("write_field")
+    if write_field and grid.dim != 1:
+        raise ConfigError("key 'write_field': the extension field CSV covers 1D bases")
     basis = eigendecompose(op)
     mesh = _extension_mesh(grid, basis.lambda_min_positive, basis.lambda_max, s, layers, gamma)
     which = cfg.get_choice("u", ("phi1", "bump"), "phi1")
@@ -416,7 +419,7 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         u = rhs_from_spec(grid, "bump", bc, rng)
     dtn_err, energy_err, *defects = _extension_errors(basis, u, mesh)
     write_modes_csv(out / "extension_modes.csv", basis.eigenvalues, *defects)
-    if cfg.get_bool("write_field"):
+    if write_field:
         write_extension_csv(out / "extension.csv", solve_extension(op, u, mesh, basis))
     assertions = [
         _assertion("extension_dtn_error", dtn_err, 0.0, cfg.get_float("dtn_tol", 2e-2)),
@@ -492,7 +495,7 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
             fit = interior_exponent(u, CampanatoProbe((0.5,), tuple(radii), alpha=alpha, mode=mode))
         tol = cfg.get_float("tol", 0.1)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
-        report.update({"x0": [0.5], "fit": fit.as_dict(), "target": target, "tolerance": tol})
+        report.update({"x0": [0.5], "fit": asdict(fit), "target": target, "tolerance": tol})
     elif which == "boundary":
         u = fractional_solve_sine(grid, GridFunction.ones(grid), s)
         d_max = cfg.get_float("d_max", 0.01)
@@ -501,7 +504,7 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         target = min(2 * s, 1.0)
         tol = cfg.get_float("tol", 0.05)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
-        report.update({"x0": [0.0], "fit": fit.as_dict(), "target": target, "tolerance": tol})
+        report.update({"x0": [0.0], "fit": asdict(fit), "target": target, "tolerance": tol})
     elif which == "layer":
         f = GridFunction.ones(grid)
         u = fractional_solve_sine(grid, f, s)

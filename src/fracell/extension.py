@@ -33,7 +33,7 @@ from scipy.special import gamma as gamma_fn, kv, kve
 from .grids import Grid, GridFunction, GridError
 from .operators import DiscreteOperator, _gate_backward_error
 from .spectral import EigenBasis, _check_memory, eigendecompose
-from .semigroup import SingularQuadrature, _mode_poisson
+from .semigroup import _mode_poisson
 
 __all__ = [
     "ExtensionMesh",
@@ -323,8 +323,7 @@ def extension_multipliers(mesh: ExtensionMesh, lam) -> tuple[np.ndarray, np.ndar
     1..M-1; the increments v, which the DtN fit reads, take one gated solve."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     M, vol = mesh.layers, mesh.base.cell_volume
-    if M < 5:
-        raise ExtensionError("the 4-layer DtN fit needs at least 5 layers")
+    fit = _dtn_fit(mesh)  # checks the layer count before any solve
     _check_memory(8 * lam.size * M, f"y-systems of a cylinder of {M + 1} layers x {lam.size} base nodes")  # ~8 arrays
     band, D, T = _y_systems(mesh, vol * lam, 1)
     rhs = -vol * lam[:, None] * D
@@ -334,7 +333,7 @@ def extension_multipliers(mesh: ExtensionMesh, lam) -> tuple[np.ndarray, np.ndar
     norm_A = vol * lam.max() * D.max() + abs(Tjj).sum(axis=1).max()
     resid = vol * lam[:, None] * D * v + (Tjj @ v.T).T - rhs
     _gate_backward_error(resid, norm_A, v, rhs, "extension multiplier solve", ExtensionError)
-    g = v[:, :4] @ _dtn_fit(mesh, 4)
+    g = v[:, :4] @ fit
     v = np.pad(v, ((0, 0), (1, 0)))  # w - 1 on the rows 0..M-1; -1 on the lid
     e = vol * lam * ((1.0 + v) ** 2 @ mesh.node_weights()[:M])
     e += vol * (np.diff(v, axis=1, append=-1.0) ** 2 @ mesh.face_kappa())
@@ -399,11 +398,11 @@ def solve_extension_forced(
     return _solve_cylinder(op, mesh, None, load, basis)
 
 
-def dtn_extract(field: ExtensionField, s: float, n_layers: int = 4) -> GridFunction:
+def dtn_extract(field: ExtensionField, s: float) -> GridFunction:
     """Recover L^s u from the extension by the incremental-quotient fit.
 
     Least squares of U(x, y) - U(x, 0) against {y^{2s}, y^2} on the first
-    `n_layers` positive layers; the quadratic column is a nuisance term
+    4 positive layers; the quadratic column is a nuisance term
     that removes the leading regular contamination of the y^{2s}
     coefficient beta(x) (a pure single-term fit leaves an O(y^{2-2s})
     error that dominates for s > 1/2).  Returns -beta / dtn_constant_intro(s).
@@ -411,19 +410,19 @@ def dtn_extract(field: ExtensionField, s: float, n_layers: int = 4) -> GridFunct
     mesh = field.mesh
     if not math.isclose(s, mesh.s, rel_tol=1e-12):
         raise ExtensionError(f"field was solved for s={mesh.s}, asked s={s}")
-    if n_layers < 2 or n_layers > mesh.layers - 1:
-        raise ExtensionError("n_layers out of range (need >= 2 for the fit)")
-    diffs = field.values[1 : n_layers + 1] - field.values[0][None, ...]
-    return GridFunction(mesh.base, np.tensordot(_dtn_fit(mesh, n_layers), diffs, axes=1))
+    diffs = field.values[1:5] - field.values[0][None, ...]
+    return GridFunction(mesh.base, np.tensordot(_dtn_fit(mesh), diffs, axes=1))
 
 
-def _dtn_fit(mesh: ExtensionMesh, n_layers: int) -> np.ndarray:
+def _dtn_fit(mesh: ExtensionMesh) -> np.ndarray:
     """The row of `dtn_extract`'s fit that maps the increments U(y_j) - u,
-    j = 1..n_layers, to -beta / dtn_constant_intro(s); the columns y^{2s}
-    and y^2 are scaled to 1 at y_n so the tiny graded layers keep the
-    least-squares problem well conditioned."""
-    s, y_n = mesh.s, mesh.y_nodes[n_layers]
-    y = mesh.y_nodes[1 : n_layers + 1] / y_n
+    j = 1..4, to -beta / dtn_constant_intro(s); the columns y^{2s} and y^2
+    are scaled to 1 at y_4 so the tiny graded layers keep the least-squares
+    problem well conditioned.  The fit layers must lie below the lid."""
+    if mesh.layers < 5:
+        raise ExtensionError("the 4-layer DtN fit needs at least 5 layers")
+    s, y_n = mesh.s, mesh.y_nodes[4]
+    y = mesh.y_nodes[1:5] / y_n
     pinv = np.linalg.pinv(np.stack([y ** (2.0 * s), y**2], axis=1))
     return -pinv[0] / (y_n ** (2.0 * s) * dtn_constant_intro(s))
 
@@ -474,19 +473,13 @@ def extension_series_eval(
     return basis.apply_fn(bessel_factor, u)
 
 
-def extension_semigroup_eval(
-    basis: EigenBasis,
-    u: GridFunction,
-    s: float,
-    y: float,
-    q: SingularQuadrature | None = None,
-) -> GridFunction:
+def extension_semigroup_eval(basis: EigenBasis, u: GridFunction, s: float, y: float) -> GridFunction:
     """Extension by the semigroup integral
     (y^{2s}/(4^s Gamma(s))) int e^{-y^2/(4t)} e^{-tL} u dt/t^{1+s};
     independent quadrature cross-check of the Bessel series."""
     if y <= 0:
         raise ExtensionError("semigroup form needs y > 0")
-    return basis.apply_fn(_mode_poisson(basis, s, y, q), u)
+    return basis.apply_fn(_mode_poisson(basis, s, y), u)
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +558,13 @@ def caccioppoli_check(
     }
 
 
-def trace_inequality_check(
-    field: ExtensionField,
-    r_list,
-    s: float,
-    center: float | None = None,
-) -> dict:
+def trace_inequality_check(field: ExtensionField, r_list, s: float) -> dict:
     """Radius-weighted trace probe: per radius r the ratio
 
         r^{1-s} ||U(., 0)||_{L2(B_r)}  /  ||U||_{H1(B_r x (0,r), y^a)}
 
-    whose sup over r staying bounded under refinement is the assertion."""
+    over balls B_r about the middle of the base interval; its sup over r
+    staying bounded under refinement is the assertion."""
     mesh = field.mesh
     grid = mesh.base
     if grid.dim != 1:
@@ -584,8 +573,7 @@ def trace_inequality_check(
         raise ExtensionError(f"field was solved for s={mesh.s}, asked s={s}")
     h = grid.spacing[0]
     x = grid.axis_coords(0)
-    if center is None:
-        center = 0.5 * grid.extents[0]
+    center = 0.5 * grid.extents[0]
     U = field.values
     V = mesh.node_weights()
     Wc = mesh.cell_weights()

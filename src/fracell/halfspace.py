@@ -121,14 +121,14 @@ def reflect(u: GridFunction, parity: str) -> ReflectedFunction:
     return ReflectedFunction(full, mirrored, parity)
 
 
-def halfspace_kernel(x, z, s: float, bc: BoundaryCondition, c: float = 1.0) -> float:
+def halfspace_kernel(x, z, s: float, bc: BoundaryCondition) -> float:
     """Reflected jump kernel on the half space (last coordinate positive):
 
-        c (|x-z|^-(n+2s) -+ |x-z*|^-(n+2s)),   z* = z mirrored,
+        |x-z|^-(n+2s) -+ |x-z*|^-(n+2s),   z* = z mirrored,
 
     '-' for Dirichlet (odd reflection) and '+' for Neumann (even).  The
-    multiplicative constant defaults to one; it is a fit parameter in all
-    comparisons.
+    kernel constant is one; every comparison fits its own multiplicative
+    constant.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -145,7 +145,7 @@ def halfspace_kernel(x, z, s: float, bc: BoundaryCondition, c: float = 1.0) -> f
     direct = float(np.linalg.norm(x - z)) ** (-p)
     mirror = float(np.linalg.norm(x - zs)) ** (-p)
     sign = -1.0 if bc.is_dirichlet else 1.0
-    return c * (direct + sign * mirror)
+    return direct + sign * mirror
 
 
 def _tanh_sinh(s: float) -> tuple[np.ndarray, ...]:
@@ -276,14 +276,13 @@ def boundary_growth_law(s: float) -> dict:
 def _mixed_strip_matrix(
     lateral_nodes: int,
     vertical_nodes: int,
-    width: float,
     height: float,
     vertical_bc: BoundaryCondition,
 ):
-    """Kron-sum operator on the strip [0,W] x [0,H]: Neumann (periodic
+    """Kron-sum operator on the strip [0,1] x [0,H]: Neumann (periodic
     surrogate) laterally, `vertical_bc` in the last coordinate.  Returns the
     dense matrix and the two 1D operators it was built from."""
-    g_lat = Grid((width,), (lateral_nodes,))
+    g_lat = Grid((1.0,), (lateral_nodes,))
     g_ver = Grid((height,), (vertical_nodes,))
     op_lat = assemble(g_lat, CoefficientField.identity(g_lat), NEUMANN)
     op_ver = assemble(g_ver, CoefficientField.identity(g_ver), vertical_bc)
@@ -298,15 +297,15 @@ def reduction_1d_check(
     phi: GridFunction,
     s: float,
     lateral_nodes: int = 12,
-    width: float = 1.0,
     vertical_bc: BoundaryCondition = DIRICHLET,
 ) -> dict:
     """x_n-only data reduce the strip problem to the 1D one.
 
-    Solves L^s u = g on the 2D strip with g(x', x_n) = phi(x_n) through a
-    full eigendecomposition of the assembled mixed-boundary operator, and
-    independently solves the 1D problem; reports the max deviation over
-    lateral positions (exact for tensor-product discrete operators).
+    Solves L^s u = g on the 2D strip of unit width with g(x', x_n) =
+    phi(x_n) through a full eigendecomposition of the assembled
+    mixed-boundary operator, and independently solves the 1D problem;
+    reports the max deviation over lateral positions (exact for
+    tensor-product discrete operators).
     """
     from .spectral import _KERNEL_RTOL, _MEAN_RTOL, CompatibilityError, eigendecompose, fractional_solve
 
@@ -314,7 +313,7 @@ def reduction_1d_check(
     if g_ver.dim != 1:
         raise HalfSpaceError("phi must be a 1D profile")
     M2, op_lat, op_ver = _mixed_strip_matrix(
-        lateral_nodes, g_ver.shape[0], width, g_ver.extents[0], vertical_bc
+        lateral_nodes, g_ver.shape[0], g_ver.extents[0], vertical_bc
     )
     nl, nv = op_lat.size, op_ver.size
 

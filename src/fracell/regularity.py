@@ -16,7 +16,7 @@ Modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,21 +86,17 @@ class ExponentFit:
     radii_used: tuple[float, ...]
     saturated: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rmse": self.rmse,
-            "exponent": self.exponent,
-            "radii_used": list(self.radii_used),
-            "saturated": self.saturated,
-        }
+
+def _distances(grid: Grid, center) -> tuple[np.ndarray, np.ndarray]:
+    """The flattened node points and their distances to `center`."""
+    pts = _node_points(grid)
+    c = np.asarray(center, dtype=float)
+    return pts, np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
 
 
 def _ball_masks(grid: Grid, center, radii):
-    pts = _node_points(grid)
+    pts, dist = _distances(grid, center)
     c = np.asarray(center, dtype=float)
-    dist = np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
     masks = []
     for r in radii:
         m = dist <= r + 1e-12
@@ -110,25 +106,39 @@ def _ball_masks(grid: Grid, center, radii):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     if np.any(c - max(radii) < lo - 1e-12) or np.any(c + max(radii) > hi + 1e-12):
         raise ProbeError("largest ball exits the grid")
-    return pts, dist, masks
+    return pts, masks
 
 
-def _subtracted_square_mean(vals, pts, mask, center, mode, center_value=None):
-    """Mean square after the mode's subtraction.
+def _ball_integrals(f: GridFunction, probe: CampanatoProbe, pointwise: bool) -> list:
+    """int_{B_r} |f - c|^2 per probe radius.
 
-    mode "oscillation" subtracts the best constant per ball (its mean)
-    unless a fixed center value is supplied (the seminorm's pointwise
-    definition); "linear" subtracts the best affine per ball.
+    Mode "oscillation" takes for c the mean over each ball, or with
+    `pointwise` the mean over the smallest ball (the seminorm's pointwise
+    definition of f(x0)); mode "linear" subtracts the best affine function
+    per ball instead.
     """
-    v = vals[mask]
-    if mode == "oscillation":
-        w = v - (float(np.mean(v)) if center_value is None else center_value)
-    else:  # linear: best affine per ball
-        dx = pts[mask] - np.asarray(center)[None, :]
-        A = np.concatenate([np.ones((dx.shape[0], 1)), dx], axis=1)
-        coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-        w = v - A @ coef
-    return float(np.mean(w**2))
+    pts, masks = _ball_masks(f.grid, probe.center, probe.radii)
+    vals = f.values.ravel()
+    center_value = float(np.mean(vals[masks[-1]])) if pointwise else None
+    integrals = []
+    for m in masks:
+        v = vals[m]
+        if probe.mode == "oscillation":
+            w = v - (float(np.mean(v)) if center_value is None else center_value)
+        else:
+            dx = pts[m] - np.asarray(probe.center)[None, :]
+            A = np.concatenate([np.ones((dx.shape[0], 1)), dx], axis=1)
+            coef, *_ = np.linalg.lstsq(A, v, rcond=None)
+            w = v - A @ coef
+        integrals.append(float(np.mean(w**2)) * m.sum() * f.grid.cell_volume)
+    return integrals
+
+
+def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Slope, intercept and rmse of the least-squares line through (log x, log y)."""
+    slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
+    resid = np.log(y) - (slope * np.log(x) + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 
 def campanato_seminorm(f: GridFunction, probe: CampanatoProbe) -> float:
@@ -137,53 +147,29 @@ def campanato_seminorm(f: GridFunction, probe: CampanatoProbe) -> float:
     f(x0) is the average over the smallest ball (the pointwise Campanato
     definition); mode "linear" subtracts the best affine function instead.
     """
-    grid = f.grid
-    n = grid.dim
-    pts, _, masks = _ball_masks(grid, probe.center, probe.radii)
-    vals = f.values.ravel()
-    center_value = float(np.mean(vals[masks[-1]]))  # smallest ball average
-    sup = 0.0
-    for r, m in zip(probe.radii, masks):
-        msq = _subtracted_square_mean(vals, pts, m, probe.center, probe.mode, center_value)
-        integral = msq * m.sum() * grid.cell_volume
-        sup = max(sup, integral / r ** (n + 2.0 * probe.alpha))
-    return sup
-
-
-def _oscillation_curve(f: GridFunction, probe: CampanatoProbe):
-    """Mean-square oscillation per radius, best-constant (or best-affine)
-    subtraction per ball; no external center estimate enters, so singular
-    profiles carry no centering bias."""
-    grid = f.grid
-    n = grid.dim
-    pts, _, masks = _ball_masks(grid, probe.center, probe.radii)
-    vals = f.values.ravel()
-    rs, osc2 = [], []
-    for r, m in zip(probe.radii, masks):
-        msq = _subtracted_square_mean(vals, pts, m, probe.center, probe.mode)
-        integral = msq * m.sum() * grid.cell_volume
-        rs.append(r)
-        osc2.append(integral / r**n)
-    return np.asarray(rs), np.asarray(osc2)
+    expo = f.grid.dim + 2.0 * probe.alpha
+    return max([0.0] + [i / r**expo for r, i in zip(probe.radii, _ball_integrals(f, probe, True))])
 
 
 def interior_exponent(u: GridFunction, probe: CampanatoProbe) -> ExponentFit:
     """Least-squares slope of log(mean oscillation^2) against log r;
     slope/2 estimates the Holder exponent at the probe center.
 
-    Values at the round-off floor mark the fit as saturated (resolution
-    ceiling), reported rather than fitted.
+    The oscillation subtracts the best constant (or affine) function per
+    ball; no external center estimate enters, so singular profiles carry no
+    centering bias.  Values at the round-off floor mark the fit as
+    saturated (resolution ceiling), reported rather than fitted.
     """
-    rs, osc2 = _oscillation_curve(u, probe)
+    rs = np.asarray(probe.radii)
+    n = u.grid.dim
+    osc2 = np.asarray([i / r**n for r, i in zip(probe.radii, _ball_integrals(u, probe, False))])
     scale = float(np.max(np.abs(u.values))) ** 2
     floor = 1e-24 * max(scale, 1e-300)
     if np.any(osc2 <= floor):
         cap = 1.0 if probe.mode == "oscillation" else 2.0
         return ExponentFit(math.inf, -math.inf, 0.0, cap, tuple(rs), saturated=True)
-    slope, intercept = np.polyfit(np.log(rs), np.log(osc2), 1)
-    resid = np.log(osc2) - (slope * np.log(rs) + intercept)
-    rmse = float(np.sqrt(np.mean(resid**2)))
-    return ExponentFit(float(slope), float(intercept), rmse, float(slope) / 2.0, tuple(rs))
+    slope, intercept, rmse = _loglog_fit(rs, osc2)
+    return ExponentFit(slope, intercept, rmse, slope / 2.0, tuple(rs))
 
 
 def boundary_exponent(
@@ -196,24 +182,10 @@ def boundary_exponent(
     log(dist) along the inward normal within [d_min, d_max]."""
     grid = u.grid
     x0 = np.asarray(boundary_point, dtype=float)
-    axis = None
-    inward = 0.0
-    for d in range(grid.dim):
-        if math.isclose(x0[d], 0.0, abs_tol=1e-12):
-            axis, inward = d, 1.0
-            break
-        if math.isclose(x0[d], grid.extents[d], abs_tol=1e-12):
-            axis, inward = d, -1.0
-            break
-    if axis is None:
-        raise ProbeError(f"{tuple(x0)} is not on a boundary face")
+    axis, inward = _boundary_face(grid, x0)
     coords = grid.axis_coords(axis)
-    line = [slice(None)] * grid.dim
-    for d in range(grid.dim):
-        if d != axis:
-            idx = int(round(x0[d] / grid.spacing[d]))
-            line[d] = idx
-    profile = u.values[tuple(line)]
+    line = tuple(slice(None) if d == axis else int(round(x0[d] / grid.spacing[d])) for d in range(grid.dim))
+    profile = u.values[line]
     dist = inward * (coords - x0[axis])
     sel = (dist >= d_min) & (dist <= d_max)
     dist, profile = dist[sel], profile[sel]
@@ -222,10 +194,8 @@ def boundary_exponent(
     if np.all(np.abs(profile) < 1e-300):
         raise ProbeError("field vanishes identically near the boundary point")
     good = np.abs(profile) > 0
-    slope, intercept = np.polyfit(np.log(dist[good]), np.log(np.abs(profile[good])), 1)
-    resid = np.log(np.abs(profile[good])) - (slope * np.log(dist[good]) + intercept)
-    rmse = float(np.sqrt(np.mean(resid**2)))
-    return ExponentFit(float(slope), float(intercept), rmse, float(slope), tuple(dist))
+    slope, intercept, rmse = _loglog_fit(dist[good], np.abs(profile[good]))
+    return ExponentFit(slope, intercept, rmse, slope, tuple(dist))
 
 
 def dirichlet_layer_split(
@@ -250,7 +220,9 @@ def dirichlet_layer_split(
     fv = _value_at(f, x0)
     if fv == 0.0:
         return GridFunction(grid, u.values.copy())
-    dist = _distance_to_face(grid, x0)
+    axis, inward = _boundary_face(grid, x0)
+    face = 0.0 if inward > 0 else grid.extents[axis]
+    dist = inward * (grid.coords()[axis] - face)
     w_field = np.zeros(grid.shape)
     pos = dist > 0
     w_field[pos] = w_oracle(dist[pos])
@@ -267,12 +239,14 @@ def _value_at(f: GridFunction, x0: np.ndarray) -> float:
     return float(f.values[idx])
 
 
-def _distance_to_face(grid: Grid, x0: np.ndarray) -> np.ndarray:
+def _boundary_face(grid: Grid, x0: np.ndarray) -> tuple[int, float]:
+    """The axis of the first box face through x0 and the sign (+1 on the
+    lower face, -1 on the upper) of that axis's inward normal."""
     for d in range(grid.dim):
         if math.isclose(x0[d], 0.0, abs_tol=1e-12):
-            return grid.coords()[d] - 0.0
+            return d, 1.0
         if math.isclose(x0[d], grid.extents[d], abs_tol=1e-12):
-            return grid.extents[d] - grid.coords()[d]
+            return d, -1.0
     raise ProbeError(f"{tuple(x0)} is not on a boundary face")
 
 
@@ -289,10 +263,7 @@ def harnack_quotient(
     The witness is rejected, with a report, if f intersects the ball or u
     fails nonnegativity inside it.
     """
-    grid = basis.grid
-    pts = _node_points(grid)
-    c = np.asarray(ball_center, dtype=float)
-    dist = np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
+    _, dist = _distances(basis.grid, ball_center)
     in_ball = dist <= ball_radius
     if np.any(f.values.ravel()[in_ball] != 0.0):
         raise ProbeError("witness datum must vanish on the ball")
@@ -312,17 +283,14 @@ def harnack_quotient(
     return {"sup": sup, "inf": inf, "quotient": sup / inf}
 
 
-def lp_spike(grid: Grid, center, p: float, eps: float = 0.01) -> GridFunction:
+def lp_spike(grid: Grid, center, p: float) -> GridFunction:
     """Integrable-spike surrogate for an L^p datum:
 
-        f(x) = min(|x - c|, h)^{-n/p + eps}
+        f(x) = max(|x - c|, h)^{-n/p + 0.01}
 
     truncated at the grid scale so the sample stays finite.
     """
-    pts = _node_points(grid)
-    c = np.asarray(center, dtype=float)
-    dist = np.sqrt(np.sum((pts - c[None, :]) ** 2, axis=1))
-    h = max(grid.spacing)
-    capped = np.maximum(dist, h)
-    expo = -grid.dim / p + eps
+    _, dist = _distances(grid, center)
+    capped = np.maximum(dist, max(grid.spacing))
+    expo = -grid.dim / p + 0.01
     return GridFunction(grid, (capped**expo).reshape(grid.shape))

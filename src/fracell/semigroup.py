@@ -57,6 +57,9 @@ class QuadratureError(ValueError):
     """Uncalibrated or inconsistent singular quadrature."""
 
 
+_TOL, _DTAU = 1e-9, 0.25  # truncation tolerance and log-spacing of the spectrum-tied rules
+
+
 @dataclass(frozen=True)
 class SingularQuadrature:
     """Node/weight rule for int_0^inf g(t) dt / t^(1+exponent).
@@ -105,8 +108,8 @@ class SingularQuadrature:
         s: float,
         lam_min: float,
         lam_max: float,
-        tol: float = 1e-9,
-        dtau: float = 0.25,
+        tol: float = _TOL,
+        dtau: float = _DTAU,
     ) -> "SingularQuadrature":
         """Rule with exponent s calibrated for (e^{-t lam} - 1) integrands over
         lam in [lam_min, lam_max]; it serves the resolvent integrands
@@ -125,29 +128,16 @@ class SingularQuadrature:
         return cls._spaced(s, t_min, max(t_max, 10.0 / lam_min), dtau)
 
     @classmethod
-    def for_inverse(
-        cls,
-        s: float,
-        lam_min: float,
-        lam_max: float,
-        tol: float = 1e-9,
-        dtau: float = 0.25,
-    ) -> "SingularQuadrature":
+    def for_inverse(cls, s: float, lam_min: float, lam_max: float) -> "SingularQuadrature":
         """Rule with exponent -s for int e^{-t lam} dt/t^{1-s} = Gamma(s) lam^{-s}."""
         if not 0 < s < 1:
             raise QuadratureError(f"s={s} outside (0,1)")
-        t_min = (tol * s * gamma_fn(s)) ** (1.0 / s) / lam_max
-        return cls._spaced(-s, t_min, (60.0 + 10.0 * s) / lam_min, dtau)
+        t_min = (_TOL * s * gamma_fn(s)) ** (1.0 / s) / lam_max
+        return cls._spaced(-s, t_min, (60.0 + 10.0 * s) / lam_min, _DTAU)
 
     @classmethod
     def for_poisson(
-        cls,
-        s: float,
-        y: float,
-        lam_min_positive: float,
-        has_kernel_mode: bool,
-        tol: float = 1e-9,
-        dtau: float = 0.25,
+        cls, s: float, y: float, lam_min_positive: float, has_kernel_mode: bool
     ) -> "SingularQuadrature":
         """Rule for int e^{-y^2/(4t)} e^{-t lam} dt/t^{1+s}.
 
@@ -160,8 +150,8 @@ class SingularQuadrature:
         t_min = y**2 / (4.0 * 45.0)
         t_max = 60.0 / lam_min_positive
         if has_kernel_mode:
-            t_max = max(t_max, 0.25 * y**2 * (s * gamma_fn(s) * tol) ** (-1.0 / s))
-        return cls._spaced(s, t_min, t_max, dtau)
+            t_max = max(t_max, 0.25 * y**2 * (s * gamma_fn(s) * _TOL) ** (-1.0 / s))
+        return cls._spaced(s, t_min, t_max, _DTAU)
 
     def integrate(self, g) -> float | np.ndarray:
         """sum_j w_j g(t_j); g may return arrays (leading axis = t nodes)."""
@@ -183,9 +173,9 @@ class SingularQuadrature:
         }
 
 
-def _check_exponent(q: SingularQuadrature, exponent: float, name: str = "s") -> None:
-    if q.exponent != exponent:
-        raise QuadratureError(f"rule exponent {q.exponent} does not match {name}={exponent}")
+def _check_exponent(q: SingularQuadrature, s: float) -> None:
+    if q.exponent != s:
+        raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
 
 
 def balakrishnan_scalar(lam: float, s: float, q: SingularQuadrature) -> float:
@@ -206,14 +196,11 @@ def _mode_balakrishnan(lams: np.ndarray, s: float, q: SingularQuadrature) -> np.
     return q.integrate(lambda t: np.expm1(-np.outer(t, lams))) / gamma_fn(-s)
 
 
-def _mode_poisson(basis: EigenBasis, s: float, y: float, q: SingularQuadrature | None):
+def _mode_poisson(basis: EigenBasis, s: float, y: float):
     """Mode factor lam -> (y^{2s}/(4^s Gamma(s))) int e^{-y^2/(4t)} e^{-t lam} dt/t^{1+s}
-    of the extension Poisson semigroup; the rule defaults to one built for
-    the spectrum of `basis`."""
-    if q is None:
-        has_kernel = bool(np.any(basis.eigenvalues == 0.0))
-        q = SingularQuadrature.for_poisson(s, y, basis.lambda_min_positive, has_kernel)
-    _check_exponent(q, s)
+    of the extension Poisson semigroup, by a rule built for the spectrum of `basis`."""
+    has_kernel = bool(np.any(basis.eigenvalues == 0.0))
+    q = SingularQuadrature.for_poisson(s, y, basis.lambda_min_positive, has_kernel)
 
     def factor(lam):
         vals = q.integrate(
@@ -513,31 +500,25 @@ def greens_function(basis: EigenBasis, s: float) -> KernelMatrix:
     return KernelMatrix(basis, "greens", G, {"s": s})
 
 
-def greens_function_quadrature(
-    basis: EigenBasis, s: float, q: SingularQuadrature | None = None
-) -> KernelMatrix:
+def greens_function_quadrature(basis: EigenBasis, s: float) -> KernelMatrix:
     """Green function by the semigroup route
     (1/Gamma(s)) int W_t dt/t^{1-s}; cross-check of the series."""
     lam = basis.eigenvalues
     if np.any(lam <= 0):
         raise ValueError("Green function requires a strictly positive spectrum")
-    if q is None:
-        q = SingularQuadrature.for_inverse(s, float(lam.min()), float(lam.max()))
-    _check_exponent(q, -s, "-s")
+    q = SingularQuadrature.for_inverse(s, float(lam.min()), float(lam.max()))
     G = basis.kernel(
         lambda lam: q.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)
     )
     return KernelMatrix(basis, "greens_quadrature", G, {"s": s})
 
 
-def poisson_kernel(
-    basis: EigenBasis, s: float, y: float, q: SingularQuadrature | None = None
-) -> KernelMatrix:
+def poisson_kernel(basis: EigenBasis, s: float, y: float) -> KernelMatrix:
     """Extension Poisson kernel
     P_y^s = (y^{2s} / (4^s Gamma(s))) int e^{-y^2/(4t)} W_t dt/t^{1+s}."""
     if y <= 0:
         raise ValueError(f"Poisson kernel needs y > 0, got {y}")
-    P = basis.kernel(_mode_poisson(basis, s, y, q))
+    P = basis.kernel(_mode_poisson(basis, s, y))
     return KernelMatrix(basis, "poisson", P, {"s": s, "y": y})
 
 
@@ -555,17 +536,6 @@ class KernelFit:
     rmse: float
     r2: float
     pairs_used: int
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "s": self.s,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rmse": self.rmse,
-            "r2": self.r2,
-            "pairs_used": self.pairs_used,
-        }
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
@@ -631,14 +601,7 @@ def kernel_log_fit(
     return KernelFit(kernel.kind, kernel.params.get("s"), slope, intercept, rmse, r2, dist.size)
 
 
-def gaussian_bound_fit(
-    basis: EigenBasis,
-    t_list,
-    r_min: float | None = None,
-    interior_margin: float | None = None,
-    n_bins: int = 24,
-    xi_max: float = 40.0,
-) -> dict:
+def gaussian_bound_fit(basis: EigenBasis, t_list) -> dict:
     """Fit the Gaussian envelope W_t(x,z) <= C e^{-|x-z|^2/(c t)} / t^{n/2}.
 
     Only the upper envelope matters for the bound, so ln(W t^{n/2}) is
@@ -647,28 +610,24 @@ def gaussian_bound_fit(
     W t^{n/2} e^{|x-z|^2/(c t)}, so the bound holds on the sweep by
     construction and the report records (C, c, envelope fit quality).
 
-    xi caps the sweep to the diffusive regime: far outside it the lattice
-    kernel has polynomial (not Gaussian) tails and no continuum bound is
-    being probed.
+    The pairs are those at least one cell apart with both ends ext/8 from
+    the box boundary, binned into 24 bins.  xi <= 40 caps the sweep to the
+    diffusive regime: far outside it the lattice kernel has polynomial (not
+    Gaussian) tails and no continuum bound is being probed.
     """
     grid = basis.grid
     n = grid.dim
-    h = max(grid.spacing)
     ext = min(grid.extents)
-    if r_min is None:
-        r_min = h
-    if interior_margin is None:
-        interior_margin = ext / 8.0
     xs, ys = [], []
     for t in t_list:
         W = heat_kernel(basis, t)
-        dist, vals = W.pair_data(r_min, ext, interior_margin)
-        keep = (vals > 1e-300) & (dist**2 / t <= xi_max)
+        dist, vals = W.pair_data(max(grid.spacing), ext, ext / 8.0)
+        keep = (vals > 1e-300) & (dist**2 / t <= 40.0)
         xs.append(dist[keep] ** 2 / t)
         ys.append(np.log(vals[keep] * t ** (n / 2.0)))
     x = np.concatenate(xs)
     y = np.concatenate(ys)
-    edges = np.linspace(x.min(), x.max(), n_bins + 1)
+    edges = np.linspace(x.min(), x.max(), 25)
     xb, yb = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = (x >= lo) & (x < hi)

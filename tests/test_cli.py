@@ -257,6 +257,24 @@ def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):
     assert repr(key) in err
 
 
+def test_2d_extension_field_export_is_refused_before_any_decomposition(tmp_path, capsys, monkeypatch):
+    from fracell import cli
+
+    monkeypatch.setattr(cli, "eigendecompose", lambda op: pytest.fail("decomposed before the config check"))
+    args = ["extension", "--dim=2", "--nodes=10", "--layers=8", "--write_field=true", f"--out={tmp_path}"]
+    assert main(args) == 2
+    assert "config error: key 'write_field'" in capsys.readouterr().err
+
+
+def test_log_regime_green_fit_honours_its_window(tmp_path):
+    def pairs(*window):
+        out = tmp_path / str(len(window))
+        assert main(["kernel", "--kind=greens", "--nodes=130", "--s=0.5", *window, f"--out={out}"]) == 0
+        return json.loads((out / "kernel_fit.json").read_text())["fit"]["pairs_used"]
+
+    assert pairs("--fit_rmin=0.05", "--fit_rmax=0.1", "--margin=0.4") < pairs()
+
+
 def test_dense_request_past_available_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
     from fracell import spectral
 
@@ -360,6 +378,7 @@ def _overrides(draw):
 @example(command="solve", params={"dim": "2", "nodes": "24", "extent": "1e-6"})
 @example(command="solve", params={"nodes": "9", "coeff": "constant:1e200"})
 @example(command="converge", params={"nodes": "9", "levels": "1e300"})
+@example(command="extension", params={"dim": "2", "nodes": "10", "layers": "8", "write_field": "true"})
 def test_fuzzed_overrides_end_in_an_exit_code(tmp_path_factory, command, params):
     # a request is a pass (0), a failed assertion (1) or a named config error (2)
     out = tmp_path_factory.mktemp("fuzz")

@@ -481,6 +481,14 @@ def test_multiplier_solve_is_gated(monkeypatch):
         extension_multipliers(ExtensionMesh.build(g, 0.5, 4, height=3.0), [1.0])
 
 
+def test_dtn_extract_needs_the_fit_layers_below_the_lid():
+    g = Grid((1.0,), (17,))
+    op = assemble(g, CoefficientField.identity(g), DIRICHLET)
+    U = solve_extension(op, GridFunction.ones(g), ExtensionMesh.build(g, 0.5, 4, height=3.0))
+    with pytest.raises(ExtensionError, match="the 4-layer DtN fit needs at least 5 layers"):
+        dtn_extract(U, 0.5)
+
+
 def _energy_by_layer_loop(field):
     # extension_energy as it was: one sparse matvec per layer
     op, mesh = field.op, field.mesh
