@@ -10,7 +10,7 @@ line per written file.  Two trees write the same bytes when
     python3 scripts/report_digests.py --seed 0 > b.txt   # in tree B
     diff a.txt b.txt
 
-prints nothing.  A full run peaks at about 160 MiB of resident memory
+prints nothing.  A full run peaks at about 99 MiB of resident memory
 (2-core VM, 1 BLAS thread).
 """
 

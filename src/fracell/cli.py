@@ -45,7 +45,7 @@ from .semigroup import (
     QuadratureError,
     SingularQuadrature,
     greens_function,
-    greens_function_quadrature,
+    greens_route_agreement,
     jump_kernel,
     kernel_log_fit,
     kernel_slope_fit,
@@ -327,9 +327,7 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         payload["fit"] = asdict(fit)
     else:
         G = greens_function(basis, s)
-        _check_memory(3 * basis.size**2, f"a second Green kernel of {basis.size} unknowns")  # G is held
-        Gq = greens_function_quadrature(basis, s)
-        routes = G.max_abs(Gq.entries) / G.max_abs()
+        routes = greens_route_agreement(G)
         assertions.append(_assertion("greens_route_agreement", routes, 0.0, 1e-6))
         assertions.append(_assertion("greens_symmetry", G.symmetry_defect(), 0.0, 1e-10))
         if n == 2 * s:  # 1D, s = 1/2: logarithmic regime

@@ -44,6 +44,7 @@ __all__ = [
     "nonlocal_bilinear_form",
     "greens_function",
     "greens_function_quadrature",
+    "greens_route_agreement",
     "poisson_kernel",
     "KernelFit",
     "kernel_slope_fit",
@@ -356,13 +357,10 @@ class KernelMatrix:
     def grid(self) -> Grid:
         return self.basis.grid
 
-    def max_abs(self, other: np.ndarray | None = None) -> float:
-        """max |entries - other| (or max |entries|) by 256-row blocks: no N x N temporary."""
+    def max_abs(self) -> float:
+        """max |entries| by 256-row blocks: no N x N temporary."""
         A = self.entries
-        return max(
-            float(np.abs(A[i : i + 256] if other is None else A[i : i + 256] - other[i : i + 256]).max())
-            for i in range(0, len(A), 256)
-        )
+        return max(float(np.abs(A[i : i + 256]).max()) for i in range(0, len(A), 256))
 
     def symmetry_defect(self) -> float:
         """max |A - A^T| / max |A|, over 256 x 256 tiles A[I, J] - A[J, I]^T of the upper
@@ -500,17 +498,28 @@ def greens_function(basis: EigenBasis, s: float) -> KernelMatrix:
     return KernelMatrix(basis, "greens", G, {"s": s})
 
 
-def greens_function_quadrature(basis: EigenBasis, s: float) -> KernelMatrix:
-    """Green function by the semigroup route
-    (1/Gamma(s)) int W_t dt/t^{1-s}; cross-check of the series."""
+def _mode_greens_quadrature(basis: EigenBasis, s: float):
+    """Mode factor of the semigroup route (1/Gamma(s)) int e^{-t lam} dt/t^{1-s}."""
     lam = basis.eigenvalues
     if np.any(lam <= 0):
         raise ValueError("Green function requires a strictly positive spectrum")
     q = SingularQuadrature.for_inverse(s, float(lam.min()), float(lam.max()))
-    G = basis.kernel(
-        lambda lam: q.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)
-    )
+    return lambda lam: q.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)
+
+
+def greens_function_quadrature(basis: EigenBasis, s: float) -> KernelMatrix:
+    """Green function by the semigroup route
+    (1/Gamma(s)) int W_t dt/t^{1-s}; cross-check of the series."""
+    G = basis.kernel(_mode_greens_quadrature(basis, s))
     return KernelMatrix(basis, "greens_quadrature", G, {"s": s})
+
+
+def greens_route_agreement(G: KernelMatrix) -> float:
+    """max |G - Gq| / max |G| of the series kernel G against Gq =
+    `greens_function_quadrature`, whose rows are compared block by block
+    as they are built: Gq is never held whole."""
+    rows = G.basis.kernel_rows(_mode_greens_quadrature(G.basis, G.params["s"]))
+    return max(float(np.abs(G.entries[i : i + len(R)] - R).max()) for i, R in rows) / G.max_abs()
 
 
 def poisson_kernel(basis: EigenBasis, s: float, y: float) -> KernelMatrix:

@@ -128,18 +128,30 @@ class EigenBasis:
         return self.synthesize(g(self.eigenvalues) * self.coefficients(u))
 
     def kernel(self, g) -> np.ndarray:
-        """Kernel density of g(L): sum_k g(lambda_k) phi_k(x) phi_k(z).
+        """Kernel density of g(L): sum_k g(lambda_k) phi_k(x) phi_k(z), one N x N
+        array filled by `kernel_rows` (with ny = 1, its one block G_0 / weight)."""
+        _check_memory(self.size * (self.size + self.X.shape[1]), f"kernel matrix of {self.size} unknowns")
+        out = np.empty((self.size, self.size)) if self.Q.shape[0] > 1 else None
+        for _, rows in self.kernel_rows(g, out):
+            pass
+        return rows if out is None else out
 
-        Block by block: G_j = X_j diag(g) X_j^T, then the (x, y), (x', y')
-        entry is sum_j G_j[x, x'] Q[y, j] Q[y', j]."""
-        _check_memory(2 * self.size**2, f"kernel matrix of {self.size} unknowns")
+    def kernel_rows(self, g, out: np.ndarray | None = None):
+        """Yield (i, rows i..i+ny-1 of `kernel(g)`) by x-lines: with G_j = X_j diag(g) X_j^T,
+        rows (x, .) = Q @ H_x / weight, H_x[j, (x', y')] = G_j[x, x'] Q[y', j], written to
+        out[i : i + ny] if given.  With ny = 1 the one block is G_0, divided in place."""
         ny, nx = self.Q.shape[0], self.X.shape[1]
+        _check_memory(2 * self.size * (nx + ny), f"kernel rows of {self.size} unknowns")
         G = (self.X * self._blocks(g(self.eigenvalues))[:, None, :]) @ self.X.transpose(0, 2, 1)
         if ny == 1:
-            return G[0] / self.weight
-        QQ = (self.Q[:, None, :] * self.Q[None, :, :]).reshape(ny * ny, ny)
-        K = (G.reshape(ny, nx * nx).T @ QQ.T).reshape(nx, nx, ny, ny)
-        return K.transpose(0, 2, 1, 3).reshape(self.size, self.size) / self.weight
+            G[0] /= self.weight
+            yield 0, G[0]
+            return
+        for i in range(0, self.size, ny):
+            H = (G[:, i // ny, :, None] * self.Q.T[:, None, :]).reshape(ny, -1)
+            rows = np.matmul(self.Q, H, out=None if out is None else out[i : i + ny])
+            rows /= self.weight
+            yield i, rows
 
     def residual(self, op: DiscreteOperator) -> float:
         """max_k ||M phi_k - lambda_k phi_k||_2 over the active nodes, built

@@ -299,16 +299,12 @@ def test_cylinder_past_available_memory_is_a_config_error(tmp_path, capsys, monk
 
 @pytest.mark.parametrize(
     "args, what",
-    [
-        (["--kind=greens"], "a second Green kernel"),
-        (["--kind=jump", "--margin=0"], "pair distances"),
-    ],
-    ids=["greens", "jump"],
+    [(["--kind=jump", "--margin=0"], "pair distances")],
+    ids=["jump"],
 )
 def test_kernel_consumers_check_available_memory(tmp_path, capsys, monkeypatch, args, what):
-    # memory for the kernel's own check (2 N^2 floats, N = 22^2) and little
-    # more: a second Green kernel next to the first, or the pair distances
-    # of every node next to the jump kernel, does not fit
+    # memory for 2 N^2 floats (N = 22^2), past the kernel's own check (N^2 +
+    # N nx) but not enough for the pair distances of every node next to it
     from fracell import spectral
 
     monkeypatch.setattr(spectral, "_available_bytes", lambda: 1.01 * 8 * 2 * (22**2) ** 2)
@@ -316,6 +312,24 @@ def test_kernel_consumers_check_available_memory(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'nodes':")
     assert what in err
+
+
+def test_greens_route_check_fits_next_to_one_kernel(tmp_path, capsys, monkeypatch):
+    # memory for ~1.7 N^2 floats (N = 22^2): the series kernel and the
+    # quadrature route's row blocks fit, so the run reaches its report (exit
+    # 1 is the slope fit at 24^2); below N^2 the kernel itself is refused
+    from fracell import spectral
+
+    n_sq = (22**2) ** 2
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1.7 * 8 * n_sq)
+    assert main(["kernel", "--kind=greens", "--dim=2", "--nodes=24", f"--out={tmp_path / 'fits'}"]) == 1
+    report = json.loads((tmp_path / "fits" / "report.json").read_text())
+    assert {a["name"]: a["pass"] for a in report["assertions"]}["greens_route_agreement"]
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 0.99 * 8 * n_sq)
+    assert main(["kernel", "--kind=greens", "--dim=2", "--nodes=24", f"--out={tmp_path / 'refused'}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nodes':")
+    assert "kernel matrix" in err
 
 
 # ---------------------------------------------------------------------------

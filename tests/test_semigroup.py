@@ -31,6 +31,7 @@ from fracell.semigroup import (
     QuadratureError,
     boundary_factor_fit,
     gaussian_bound_fit,
+    greens_route_agreement,
     kernel_log_fit,
     kernel_slope_fit,
 )
@@ -548,6 +549,16 @@ def test_greens_function_contract(basis_dirichlet):
     assert rel <= 1e-6
     lam = basis_dirichlet.eigenvalues
     assert np.linalg.eigvalsh(G.entries).min() > 0  # positive matrix
+
+
+@pytest.mark.parametrize("shape, s", [((130,), 0.5), ((24, 24), 0.25), ((9, 17), 0.75)], ids=str)
+def test_streamed_route_agreement_is_the_full_kernels_bit_for_bit(shape, s):
+    g = Grid((1.0,) * len(shape), shape)
+    A = CoefficientField.from_callable(g, lambda *xs: 1.0 + 0.5 * np.sin(2 * np.pi * xs[0]))
+    basis = eigendecompose(assemble(g, A, DIRICHLET))
+    G, Gq = greens_function(basis, s), greens_function_quadrature(basis, s)
+    want = np.abs(G.entries - Gq.entries).max() / np.abs(G.entries).max()
+    assert greens_route_agreement(G) == want
 
 
 def test_greens_inverse_property(basis_dirichlet, op_dirichlet, rng):

@@ -330,6 +330,69 @@ def test_factored_solve_at_130_squared_builds_no_dense_matrix():
     assert np.linalg.norm(back.values[mask] - f.values[mask]) <= 1e-8 * np.linalg.norm(f.values[mask])
 
 
+def _three_buffer_kernel(basis, g):
+    """The kernel as built before the row blocks: the (nx^2, ny^2) product of the
+    G_j with the Q-row products, its transposed copy, then the divided copy."""
+    ny, nx = basis.Q.shape[0], basis.X.shape[1]
+    G = (basis.X * basis._blocks(g(basis.eigenvalues))[:, None, :]) @ basis.X.transpose(0, 2, 1)
+    if ny == 1:
+        return G[0] / basis.weight
+    QQ = (basis.Q[:, None, :] * basis.Q[None, :, :]).reshape(ny * ny, ny)
+    K = (G.reshape(ny, nx * nx).T @ QQ.T).reshape(nx, nx, ny, ny)
+    return K.transpose(0, 2, 1, 3).reshape(basis.size, basis.size) / basis.weight
+
+
+def _kernel_factor(lam):
+    return np.exp(-lam / lam[-1]) + np.sqrt(lam)
+
+
+_ROW_BLOCK_CASES = [
+    (Grid((1.0, 1.0), (40, 40)), DIRICHLET),
+    (Grid((1.0, 2.5), (9, 17)), DIRICHLET),
+    (Grid((0.3, 1.0), (33, 12)), NEUMANN),
+]
+
+
+@pytest.mark.parametrize("grid, bc", _ROW_BLOCK_CASES, ids=["40x40", "9x17", "33x12-neumann"])
+def test_kernel_row_blocks_stack_to_the_kernel(grid, bc):
+    basis = eigendecompose(assemble(grid, _coefficient(grid, "sine"), bc))
+    ny = basis.Q.shape[0]
+    K = basis.kernel(_kernel_factor)
+    blocks = [(i, rows.copy()) for i, rows in basis.kernel_rows(_kernel_factor)]
+    assert [i for i, _ in blocks] == list(range(0, basis.size, ny))
+    assert np.array_equal(np.concatenate([rows for _, rows in blocks]), K)
+    # the three-buffer build sums the same products in another order
+    K_ref = _three_buffer_kernel(basis, _kernel_factor)
+    assert np.abs(K - K_ref).max() <= 1e-15 * np.abs(K_ref).max()
+
+
+@pytest.mark.parametrize("which", ["basis_dirichlet", "basis_neumann", "basis_variable", "dense"])
+def test_one_block_kernel_is_the_eigen_congruence_bit_for_bit(which, request):
+    if which == "dense":  # a field that does not split: one dense eigh, ny = 1
+        g = Grid((1.0, 1.0), (12, 12))
+        basis = eigendecompose(assemble(g, _rotated(g), NEUMANN))
+    else:
+        basis = request.getfixturevalue(which)
+    X, gb = basis.X[0], basis._blocks(_kernel_factor(basis.eigenvalues))[0]
+    assert np.array_equal(basis.kernel(_kernel_factor), (X * gb) @ X.T / basis.weight)
+    assert np.array_equal(basis.kernel(_kernel_factor), _three_buffer_kernel(basis, _kernel_factor))
+
+
+def test_kernel_at_40_squared_holds_one_n_by_n_array():
+    import tracemalloc
+
+    g = Grid((1.0, 1.0), (40, 40))
+    basis = eigendecompose(assemble(g, _coefficient(g, "sine"), DIRICHLET))
+    tracemalloc.start()
+    try:
+        K = basis.kernel(_kernel_factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (1444, 1444)
+    assert peak <= 1.1 * 8 * basis.size**2  # the three-buffer build peaked at ~3 N^2
+
+
 def _certified(shape, bc, coeff):
     g = Grid((1.0,) * len(shape), shape)
     op = assemble(g, _coefficient(g, coeff), bc)
@@ -400,7 +463,7 @@ def test_factor_certificate_trips_when_the_matrix_leaves_the_kronecker_sum(shape
 
 def test_dense_allocations_check_available_memory(monkeypatch):
     # 12^2 Neumann, N = 144: the factored basis needs 25 blocks of 144 floats
-    # (29 KB), the dense eigh 5 N^2 (829 KB), a kernel 2 N^2, vectors 3 N^2
+    # (29 KB), the dense eigh 5 N^2 (829 KB), a kernel N^2 + N nx, vectors 3 N^2
     g = Grid((1.0, 1.0), (12, 12))
     op = assemble(g, CoefficientField.identity(g), NEUMANN)
     cross = assemble(g, _constant_cross(g), NEUMANN)
