@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""sha256 of every file the benchmark's CLI cases write.
+"""sha256 of every file the benchmark's CLI cases write, and of a cylinder field.
 
 Runs, one after another, every CLI case of the three benchmark workloads
 (the case lists of `perfbench/workloads.py`, for the given seed) from the
-source tree this script sits in, and prints one `sha256  workload/case/file`
-line per written file.  Two trees write the same bytes when
+source tree this script sits in, then one case of its own that no workload
+runs: `extension --nodes=65 --layers=32 --write_field=true`, whose
+`extension.csv` holds every value of a `solve_extension` field.  It prints
+one `sha256  workload/case/file` line per written file (`field` stands for
+the workload of the last case).  Two trees write the same bytes when
 
     python3 scripts/report_digests.py --seed 0 > a.txt   # in tree A
     python3 scripts/report_digests.py --seed 0 > b.txt   # in tree B
@@ -30,16 +33,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
     seed = parser.parse_args().seed
+    runs = [(workload, case) for workload in workloads.WORKLOADS for case in workloads.cases(workload, seed)]
+    runs.append(("field", workloads.cli_case("extension", nodes=65, layers=32, write_field="true")))
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in workloads.WORKLOADS:
-            for case in workloads.cases(workload, seed):
-                if "command" not in case.data:  # an API case writes no files
-                    continue
-                out = Path(tmp, workload, workloads._slug(case.name))
-                case.fn(case.data, out)
-                for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    print(f"{digest}  {workload}/{case.name}/{path.relative_to(out)}", flush=True)
+        for workload, case in runs:
+            if "command" not in case.data:  # an API case writes no files
+                continue
+            out = Path(tmp, workload, workloads._slug(case.name))
+            case.fn(case.data, out)
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {workload}/{case.name}/{path.relative_to(out)}", flush=True)
     return 0
 
 

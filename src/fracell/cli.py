@@ -89,6 +89,9 @@ from .io import (
 )
 
 COMMANDS = ("solve", "kernel", "extension", "halfline", "probe", "converge")
+# every key some command reads, and the output directory `out`
+_KEYS = frozenset("T alpha bc coeff d_max dim dtn_tol eigenvectors energy_tol extent fit_rmax fit_rmin gamma kind layers "
+                  "levels margin nodes out p probe r_max rhs s seed slope_tol tol u write_field write_kernel".split())
 
 
 class ConfigError(ValueError):
@@ -103,6 +106,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"key 'command': unknown command {self.command!r}")
+        if unknown := sorted(set(self.params) - _KEYS):
+            raise ConfigError(f"key {unknown[0]!r}: unknown key")
 
     def raw(self, key: str, default=None):
         return self.params.get(key, default)

@@ -31,7 +31,7 @@ import scipy.linalg as sla
 from scipy.special import gamma as gamma_fn, kv, kve
 
 from .grids import Grid, GridFunction, GridError
-from .operators import DiscreteOperator, _gate_backward_error
+from .operators import DiscreteOperator, _gate_backward_error, _tridiagonal
 from .spectral import EigenBasis, _check_memory, eigendecompose
 from .semigroup import _mode_poisson
 
@@ -247,89 +247,57 @@ def _base_stiffness(op: DiscreteOperator) -> sp.csr_matrix:
 
 def _vertical_stiffness(mesh: ExtensionMesh, vol: float) -> sp.csr_matrix:
     """Exact-flux tridiagonal T over layers 0..M, times the base cell volume."""
-    kap = mesh.face_kappa()
-    diag = np.zeros(mesh.layers + 1)
-    diag[:-1] += kap
-    diag[1:] += kap
-    return sp.diags([-kap, diag, -kap], offsets=[-1, 0, 1], format="csr") * vol
+    diag, off = _tridiagonal(mesh.face_kappa(), False)
+    return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr") * vol
 
 
-def _y_systems(mesh: ExtensionMesh, lam: np.ndarray, first: int):
-    """The y-systems lam_k D + T (rows first..M-1, lam_k = h^dim lambda_k) as the blocks of
-    one tridiagonal in `solveh_banded`'s upper layout, coupled by exact zeros; and D, T."""
-    M = mesh.layers
-    T = _vertical_stiffness(mesh, mesh.base.cell_volume)
-    D = mesh.node_weights()[first:M]
+def _y_solve(mesh: ExtensionMesh, lam: np.ndarray, rhs: np.ndarray, first: int) -> np.ndarray:
+    """Solve (lam_k D + T) x_k = rhs[k] on the rows first..M-1 for all base modes k (lam_k =
+    h^dim lambda_k, D the node weights) as the blocks, coupled by exact zeros, of one tridiagonal
+    in `solveh_banded`'s upper layout: one LAPACK `ptsv` call, which overwrites rhs."""
+    M, vol = mesh.layers, mesh.base.cell_volume
+    diag, off = _tridiagonal(mesh.face_kappa(), False)  # T / vol
     band = np.zeros((2, lam.size, M - first))
-    band[0, :, 1:] = T.diagonal(1)[first : M - 1]
-    np.multiply(lam[:, None], D, out=band[1])
-    band[1] += T.diagonal()[first:M]
-    return band.reshape(2, -1), D, T
+    band[0, :, 1:] = off[first : M - 1] * vol
+    np.multiply(lam[:, None], mesh.node_weights()[first:M], out=band[1])
+    band[1] += diag[first:M] * vol
+    x = sla.solveh_banded(band.reshape(2, -1), rhs.reshape(-1), overwrite_ab=True, overwrite_b=True)
+    return x.reshape(rhs.shape)
 
 
-def _solve_cylinder(
-    op: DiscreteOperator,
-    mesh: ExtensionMesh,
-    trace_vec: np.ndarray | None,
-    load: np.ndarray | None,
-    basis: EigenBasis | None,
-) -> ExtensionField:
-    """Solve D_j K U_j + (T U)_j = load_j on the rows first..M-1; the lid
-    row M is held at zero and the trace row is given (trace_vec, first = 1,
-    no load) or free (first = 0, `load` is (M+1, active nodes)).
-
-    Separation of variables in the base `EigenBasis` (`eigendecompose(op)`
-    if not given), which diagonalises K = op.matrix h^dim with eigenvalues
-    h^dim lam_k: the basis transforms the rows, and the y-systems of all
-    modes (`_y_systems`) are solved by one LAPACK `ptsv` call.  A given trace
-    is lifted out first (V = U - u, so V = 0 on row 0 and -u on the lid):
-    the interior rows of T sum to zero, so the load becomes -D_j K u plus
-    T[M-1, M] u on row M-1, and the increments U(y_j) - u that the DtN fit
-    reads are solved for directly, not as differences of O(|u|) rows.  The
-    backward error is gated (a wrong basis fails)."""
+def _unit_increments(mesh: ExtensionMesh, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The increments v_k (rows 1..M-1) of the extension phi_k (x) (1 + v_k) of each unit base
+    eigenmode, and their right-hand sides: v_0 = 0, v_M = -1 and (lam_k D + T)(1 + v_k) = 0, where
+    T's rows sum to zero, give (lam_k D + T) v_k = -lam_k D + T[M-1, M] e_{M-1}.  So the increments
+    the DtN fit reads are solved for, not differenced from O(1) rows.  Each caller gates the solve."""
     M = mesh.layers
-    # traced peak: 5 to 5.6 (M+1) x N arrays (the load rows and the basis transforms)
-    _check_memory(6 * (M + 1) * op.grid.num_nodes, f"cylinder of {M + 1} layers x {op.size} base nodes")
-    if basis is None:
-        basis = eigendecompose(op)
-    K = _base_stiffness(op)
-    first = 0 if trace_vec is None else 1
-    band, D, T = _y_systems(mesh, op.grid.cell_volume * basis.eigenvalues, first)
-    Tjj = T[first:M, first:M]
-    if trace_vec is None:
-        rhs = load[:M]
-    else:
-        rhs = -D[:, None] * (K @ trace_vec)[None, :]
-        rhs[-1] += T[M - 1, M] * trace_vec
-    R = basis.coefficients_batch(rhs).T.ravel()  # mode k's rows in block k
-    R = sla.solveh_banded(band, R, overwrite_ab=True, overwrite_b=True)
-    del band  # freed before the transforms, which set the peak
-    V = basis.synthesize_batch(R.reshape(basis.size, -1).T)
+    rhs = -lam[:, None] * mesh.node_weights()[1:M]
+    rhs[:, -1] -= mesh.face_kappa()[-1] * mesh.base.cell_volume  # T[M-1, M]
+    return _y_solve(mesh, lam, rhs.copy(), 1), rhs
+
+
+def _gate_cylinder(op: DiscreteOperator, mesh: ExtensionMesh, V: np.ndarray, rhs: np.ndarray, first: int) -> None:
+    """Gate D_j K V_j + (T V)_j = rhs_j on the rows first..M-1 in physical space (K =
+    op.matrix h^dim), where a basis of another operator fails."""
+    M, K = mesh.layers, _base_stiffness(op)
+    D = mesh.node_weights()[first:M]
+    Tjj = _vertical_stiffness(mesh, op.grid.cell_volume)[first:M, first:M]
     norm_A = D.max() * abs(K).sum(axis=1).max() + abs(Tjj).sum(axis=1).max()  # bounds ||D (x) K + Tjj (x) I||
     _gate_backward_error(D[:, None] * (K @ V.T).T + Tjj @ V - rhs, norm_A, V, rhs, "cylinder solve", ExtensionError)
-    values = np.zeros((M + 1,) + op.grid.shape)
-    values[first:M, op.active_mask] = V
-    if trace_vec is not None:
-        values[:M, op.active_mask] += trace_vec
-    return ExtensionField(mesh, op, values)
 
 
 def extension_multipliers(mesh: ExtensionMesh, lam) -> tuple[np.ndarray, np.ndarray]:
     """DtN value g(lam) and h^dim times the energy e(lam) of the extension of a
     unit base eigenmode phi with eigenvalue lam: for u = sum_k c_k phi_k,
     dtn_extract(solve_extension(u)) is sum_k g(lam_k) c_k phi_k and
-    extension_energy is sum_k e(lam_k) c_k^2 / h^dim.  The mode extends as
-    phi (x) (1 + v), v_0 = 0, v_M = -1, (h^dim lam D + T)(1 + v) = 0 on the rows
-    1..M-1; the increments v, which the DtN fit reads, take one gated solve."""
+    extension_energy is sum_k e(lam_k) c_k^2 / h^dim.  Both are read off the
+    increments v of phi (x) (1 + v) (`_unit_increments`), whose solve is gated."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     M, vol = mesh.layers, mesh.base.cell_volume
     fit = _dtn_fit(mesh)  # checks the layer count before any solve
     _check_memory(8 * lam.size * M, f"y-systems of a cylinder of {M + 1} layers x {lam.size} base nodes")  # ~8 arrays
-    band, D, T = _y_systems(mesh, vol * lam, 1)
-    rhs = -vol * lam[:, None] * D
-    rhs[:, -1] += T[M - 1, M]
-    v = sla.solveh_banded(band, rhs.ravel()).reshape(rhs.shape)
-    Tjj = T[1:M, 1:M]
+    v, rhs = _unit_increments(mesh, vol * lam)
+    D, Tjj = mesh.node_weights()[1:M], _vertical_stiffness(mesh, vol)[1:M, 1:M]
     norm_A = vol * lam.max() * D.max() + abs(Tjj).sum(axis=1).max()
     resid = vol * lam[:, None] * D * v + (Tjj @ v.T).T - rhs
     _gate_backward_error(resid, norm_A, v, rhs, "extension multiplier solve", ExtensionError)
@@ -368,13 +336,27 @@ def solve_extension(
 
     Lateral boundary follows the base operator's condition (Dirichlet
     walls or zero conormal flux); the lid at y = Y is homogeneous Dirichlet
-    as the decay surrogate.  `basis` defaults to `eigendecompose(op)`.
+    as the decay surrogate.  For u = sum_k c_k phi_k in the base `EigenBasis`
+    (`eigendecompose(op)` if not given) U = sum_k c_k phi_k (x) (1 + v_k),
+    from the increments v_k that `extension_multipliers` reads.
     """
     if u.grid != op.grid:
         raise GridError("trace lives on a different grid")
     if mesh.base != op.grid:
         raise ExtensionError("mesh base differs from operator grid")
-    return _solve_cylinder(op, mesh, op.restrict(u), None, basis)
+    M, trace = mesh.layers, op.restrict(u)
+    # traced peak: 4.7 to 5.5 (M+1) x N arrays (the increments, their transform and the residual)
+    _check_memory(6 * (M + 1) * op.grid.num_nodes, f"cylinder of {M + 1} layers x {op.size} base nodes")
+    basis = eigendecompose(op) if basis is None else basis
+    v = _unit_increments(mesh, op.grid.cell_volume * basis.eigenvalues)[0]
+    V = basis.synthesize_batch((basis.coefficients(u)[:, None] * v).T)  # U - u on the rows 1..M-1
+    rhs = -mesh.node_weights()[1:M, None] * (_base_stiffness(op) @ trace)[None, :]
+    rhs[-1] -= op.grid.cell_volume * mesh.face_kappa()[-1] * trace  # T[M-1, M] u
+    _gate_cylinder(op, mesh, V, rhs, 1)
+    values = np.zeros((M + 1,) + op.grid.shape)
+    values[:M, op.active_mask] = trace
+    values[1:M, op.active_mask] += V
+    return ExtensionField(mesh, op, values)
 
 
 def solve_extension_forced(
@@ -385,17 +367,26 @@ def solve_extension_forced(
 ) -> ExtensionField:
     """Weak solution of div(y^a B grad U) = div(y^a F), -y^a U_y|_{y=0} = f.
 
-    The trace row is free; f enters the y = 0 equation as a flux load.
-    `basis` defaults to `eigendecompose(op)`.
+    The trace row is free; f enters the y = 0 equation as a flux load.  The
+    load rows are solved in the base `EigenBasis` (`eigendecompose(op)` if not given).
     """
     if mesh.base != op.grid:
         raise ExtensionError("mesh base differs from operator grid")
-    load = np.zeros((mesh.layers + 1, op.size))
+    M = mesh.layers
+    load = np.zeros((M + 1, op.size))
     if forcing.f is not None:
         load[0] += op.grid.cell_volume * op.restrict(forcing.f)
     if forcing.horizontal is not None:
         load += _forcing_load(op, mesh, forcing.horizontal)
-    return _solve_cylinder(op, mesh, None, load, basis)
+    # traced peak: 4.9 to 5.7 (M+1) x N arrays (the load rows, the basis transforms and the residual)
+    _check_memory(6 * (M + 1) * op.grid.num_nodes, f"cylinder of {M + 1} layers x {op.size} base nodes")
+    basis = eigendecompose(op) if basis is None else basis
+    R = np.ascontiguousarray(basis.coefficients_batch(load[:M]).T)  # mode k's rows in row k
+    V = basis.synthesize_batch(_y_solve(mesh, op.grid.cell_volume * basis.eigenvalues, R, 0).T)
+    _gate_cylinder(op, mesh, V, load[:M], 0)
+    values = np.zeros((M + 1,) + op.grid.shape)
+    values[:M, op.active_mask] = V
+    return ExtensionField(mesh, op, values)
 
 
 def dtn_extract(field: ExtensionField, s: float) -> GridFunction:

@@ -340,6 +340,15 @@ def balakrishnan_apply(
 # ---------------------------------------------------------------------------
 
 
+def _pairs(pts: np.ndarray, idx: np.ndarray, held: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node pairs i < j from `idx` and their distances |pts[i] - pts[j]|; the memory check counts
+    n^2/2 index pairs, then 4 coordinate arrays of n^2/2 x dim, next to `held` floats in use."""
+    _check_memory(held + (2 * pts.shape[1] + 2) * idx.size**2, f"pair distances of {idx.size} nodes")
+    i, j = np.triu_indices(idx.size, k=1)
+    i, j = idx[i], idx[j]
+    return i, j, np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1))
+
+
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric kernel density on active-node pairs.
@@ -396,12 +405,7 @@ class KernelMatrix:
         for d in range(self.grid.dim):
             lo, hi = interior_margin, self.grid.extents[d] - interior_margin
             ok &= (pts[:, d] >= lo) & (pts[:, d] <= hi)
-        idx = np.flatnonzero(ok)
-        # next to the held kernel: n^2/2 index pairs, then 4 coordinate arrays of n^2/2 x dim
-        _check_memory(self.entries.size + (2 * self.grid.dim + 2) * idx.size**2, f"pair distances of {idx.size} nodes")
-        i, j = np.triu_indices(idx.size, k=1)
-        i, j = idx[i], idx[j]
-        dist = np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1))
+        i, j, dist = _pairs(pts, np.flatnonzero(ok), self.entries.size)
         keep = (dist >= r_min) & (dist <= r_max)
         return dist[keep], self.entries[i[keep], j[keep]]
 
@@ -677,12 +681,8 @@ def boundary_factor_fit(kernel: KernelMatrix, phi0: GridFunction) -> dict:
     h = max(grid.spacing)
     pts = kernel.active_coords()
     p0 = phi0.restrict(basis.active_mask)
-    _check_memory((n + 5) * len(pts) ** 2, f"boundary factor pairs of {len(pts)} nodes")  # N^2 x dim, then 5 N^2
-    D = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
-    iu = np.triu_indices(len(pts), k=1)
-    dist = D[iu]
-    vals = kernel.entries[iu]
-    pp = np.outer(p0, p0)[iu]
+    i, j, dist = _pairs(pts, np.arange(len(pts)), kernel.entries.size)
+    vals, pp = kernel.entries[i, j], p0[i] * p0[j]
     keep = (dist >= 2 * h) & (vals > 0)
     dist, vals, pp = dist[keep], vals[keep], pp[keep]
     normalized = vals * dist ** (n + 2 * s)

@@ -59,6 +59,20 @@ def test_invalid_key_names_offender(tmp_path, capsys):
     assert "nodes" in err
 
 
+def test_unknown_key_is_a_config_error_before_any_work(tmp_path, capsys):
+    # a typo of 'nodes' must not run the default 130-node solve
+    out = tmp_path / "o"
+    assert main(["solve", "--node=9", f"--out={out}"]) == 2
+    assert capsys.readouterr().err == "config error: key 'node': unknown key\n"
+    assert not out.exists()
+    config = tmp_path / "run.cfg"
+    config.write_text("s = 0.25\nlayer = 16\n", encoding="utf-8")
+    assert main(["extension", "--config", str(config), f"--out={out}"]) == 2
+    assert "key 'layer': unknown key" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="key 'frob': unknown key"):
+        RunConfig("probe", {"probe": "interior", "frob": "1"})
+
+
 def test_unknown_command_rejected():
     with pytest.raises(ConfigError):
         RunConfig("frobnicate", {})

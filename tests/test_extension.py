@@ -468,6 +468,23 @@ def test_multipliers_match_the_cylinder_solve(shape, layers, bc, coeff):
             assert extension_energy(Uk) == pytest.approx(em[k] / h, rel=1e-10)
 
 
+@pytest.mark.parametrize("shape, layers", [((33,), 16), ((9, 9), 8), ((32, 32), 24)], ids=["1d", "2d", "2d-32"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_given_trace_field_carries_the_multipliers_to_rounding(shape, layers, bc):
+    # the field is built from the increments g is read from, so its DtN
+    # coefficients are g_k c_k up to the rounding of U - u and one transform
+    g = Grid((1.0,) * len(shape), shape)
+    op = assemble(g, CoefficientField.identity(g), bc)
+    basis = eigendecompose(op)
+    u = GridFunction(g, np.random.default_rng(3).standard_normal(shape))
+    c = basis.coefficients(u)
+    for s in (0.25, 0.5, 0.75):
+        mesh = ExtensionMesh.build(g, s, layers, lam0=basis.lambda_min_positive)
+        gc = extension_multipliers(mesh, basis.eigenvalues)[0] * c
+        got = basis.coefficients(dtn_extract(solve_extension(op, u, mesh, basis), s))
+        assert np.abs(got - gc).max() <= 1e-13 * np.abs(gc).max()
+
+
 def test_multiplier_solve_is_gated(monkeypatch):
     import scipy.linalg
 
@@ -542,25 +559,30 @@ def test_cylinder_solves_transform_through_the_base_eigenbasis(shape, bc, monkey
 
 def _per_mode_cylinder(op, mesh, trace_vec, load, basis):
     """The cylinder solve with one `solveh_banded` call per base mode, the
-    loop that one block-diagonal call replaced (no gate)."""
+    loop that one block-diagonal call replaced (no gate).  A given trace
+    u = sum_k c_k phi_k extends as sum_k c_k phi_k (x) (1 + v_k): mode k's
+    unit-trace increments v_k, solved on the rows 1..M-1, scaled by c_k."""
     import scipy.linalg as sla
 
-    K, M = _base_stiffness(op), mesh.layers
+    M = mesh.layers
     first = 0 if trace_vec is None else 1
     T = _vertical_stiffness(mesh, op.grid.cell_volume)
     Tjj, D = T[first:M, first:M], mesh.node_weights()[first:M]
-    if trace_vec is None:
-        rhs = load[:M]
-    else:
-        rhs = -D[:, None] * (K @ trace_vec)[None, :]
-        rhs[-1] += T[M - 1, M] * trace_vec
-    R = basis.coefficients_batch(rhs)
     lam = op.grid.cell_volume * basis.eigenvalues
+    if trace_vec is None:
+        R = basis.coefficients_batch(load[:M])
+    else:
+        R, c = np.empty((M - 1, lam.size)), basis.coefficients_batch(trace_vec[None])[0]
     band = np.zeros((2, M - first))
     band[0, 1:] = Tjj.diagonal(1)
     for k in range(lam.size):
         band[1] = lam[k] * D + Tjj.diagonal()
-        R[:, k] = sla.solveh_banded(band, R[:, k])
+        if trace_vec is None:
+            R[:, k] = sla.solveh_banded(band, R[:, k])
+        else:
+            unit = -lam[k] * D
+            unit[-1] += T[M - 1, M]
+            R[:, k] = c[k] * sla.solveh_banded(band, unit)
     values = np.zeros((M + 1,) + op.grid.shape)
     values[first:M, op.active_mask] = basis.synthesize_batch(R)
     if trace_vec is not None:

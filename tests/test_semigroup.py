@@ -612,5 +612,5 @@ def test_boundary_factor_fit_checks_available_memory(basis_dirichlet, quad_half,
 
     K = jump_kernel(basis_dirichlet, 0.5, quad_half)
     monkeypatch.setattr(spectral, "_available_bytes", lambda: 8.0 * K.entries.size)
-    with pytest.raises(spectral.DenseMemoryError, match="boundary factor pairs"):
+    with pytest.raises(spectral.DenseMemoryError, match="pair distances"):
         boundary_factor_fit(K, basis_dirichlet.eigenfunction(0))
