@@ -34,7 +34,6 @@ from .spectral import (
     CompatibilityError,
     DenseMemoryError,
     _check_memory,
-    _spectrum_ends,
     eigendecompose,
     fractional_apply,
     fractional_solve,
@@ -88,10 +87,20 @@ from .io import (
     write_report_json,
 )
 
-COMMANDS = ("solve", "kernel", "extension", "halfline", "probe", "converge")
-# every key some command reads, and the output directory `out`
-_KEYS = frozenset("T alpha bc coeff d_max dim dtn_tol eigenvectors energy_tol extent fit_rmax fit_rmin gamma kind layers "
-                  "levels margin nodes out p probe r_max rhs s seed slope_tol tol u write_field write_kernel".split())
+# the keys each command reads, besides `seed` and the output directory `out`
+_PROBLEM = "dim nodes extent bc coeff s"  # `_build_problem` and the power s
+_KEYS = {
+    command: frozenset(f"seed out {keys}".split())
+    for command, keys in {
+        "solve": f"{_PROBLEM} rhs eigenvectors",
+        "kernel": f"{_PROBLEM} kind fit_rmin fit_rmax margin slope_tol write_kernel",
+        "extension": f"{_PROBLEM} layers gamma write_field u dtn_tol energy_tol",
+        "halfline": "s T",
+        "probe": "probe s nodes alpha p r_max tol d_max",
+        "converge": "s nodes layers levels",
+    }.items()
+}
+COMMANDS = tuple(_KEYS)
 
 
 class ConfigError(ValueError):
@@ -106,8 +115,11 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"key 'command': unknown command {self.command!r}")
-        if unknown := sorted(set(self.params) - _KEYS):
-            raise ConfigError(f"key {unknown[0]!r}: unknown key")
+        if unknown := sorted(set(self.params) - _KEYS[self.command]):
+            key = unknown[0]
+            if any(key in keys for keys in _KEYS.values()):
+                raise ConfigError(f"key {key!r}: the {self.command} command does not read it")
+            raise ConfigError(f"key {key!r}: unknown key")
 
     def raw(self, key: str, default=None):
         return self.params.get(key, default)
@@ -276,8 +288,9 @@ def _assertion(name, value, target, tol, mode="le") -> dict:
 def _cmd_solve(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(cfg)
     s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0)
-    basis = eigendecompose(op)
     f = rhs_from_spec(grid, cfg.raw("rhs", "ones"), bc, rng)
+    eigenvectors = cfg.get_int("eigenvectors", 3, lo=0)
+    basis = eigendecompose(op)
     try:
         u = fractional_solve(basis, f, s)
     except CompatibilityError as exc:
@@ -296,7 +309,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     write_grid_json(out / "problem.json", grid, bc, cfg.raw("coeff", "identity"))
     write_eigen_csv(out / "spectrum.csv", basis)
     write_eigen_summary(out / "spectrum.json", basis)
-    write_eigenvectors(out, basis, cfg.get_int("eigenvectors", 3, lo=0))
+    write_eigenvectors(out, basis, eigenvectors)
     assertions = [_assertion("solve_round_trip", resid, 0.0, 1e-8)]
     return assertions, {
         "solution_l2": l2_norm(u),
@@ -316,6 +329,8 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         "r_max": _optional_float(cfg, "fit_rmax"),
         "interior_margin": _optional_float(cfg, "margin"),
     }
+    tol = cfg.get_float("slope_tol", 0.15 if kind == "jump" else 0.1, lo=0.0)
+    write_kernel = cfg.get_bool("write_kernel")
     basis = eigendecompose(op)
     n = grid.dim
     assertions = []
@@ -326,7 +341,6 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         with _fit_needs_nodes():
             fit = kernel_slope_fit(K, **window)
         target = -(n + 2 * s)
-        tol = cfg.get_float("slope_tol", 0.15, lo=0.0)
         assertions.append(_assertion("jump_kernel_slope", fit.slope, target, tol, "abs"))
         assertions.append(_assertion("kernel_symmetry", K.symmetry_defect(), 0.0, 1e-10))
         payload["fit"] = asdict(fit)
@@ -343,11 +357,10 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
             with _fit_needs_nodes():
                 fit = kernel_slope_fit(G, **window)
             target = -(n - 2 * s)
-            tol = cfg.get_float("slope_tol", 0.1, lo=0.0)
             assertions.append(_assertion("greens_slope", fit.slope, target, tol, "abs"))
         payload["fit"] = asdict(fit)
         payload["route_agreement"] = routes
-    if cfg.get_bool("write_kernel"):
+    if write_kernel:
         kernel_obj = K if kind == "jump" else G
         write_kernel_csv(out / f"{kind}_kernel.csv", kernel_obj)
     write_report_json(out / "kernel_fit.json", payload)
@@ -413,9 +426,10 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     write_field = cfg.get_bool("write_field")
     if write_field and grid.dim != 1:
         raise ConfigError("key 'write_field': the extension field CSV covers 1D bases")
+    which = cfg.get_choice("u", ("phi1", "bump"), "phi1")
+    dtn_tol, energy_tol = cfg.get_float("dtn_tol", 2e-2), cfg.get_float("energy_tol", 1e-2)
     basis = eigendecompose(op)
     mesh = _extension_mesh(grid, basis.lambda_min_positive, basis.lambda_max, s, layers, gamma)
-    which = cfg.get_choice("u", ("phi1", "bump"), "phi1")
     if which == "phi1":
         u = basis.eigenfunction(0)
     else:
@@ -425,8 +439,8 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     if write_field:
         write_extension_csv(out / "extension.csv", solve_extension(op, u, mesh, basis))
     assertions = [
-        _assertion("extension_dtn_error", dtn_err, 0.0, cfg.get_float("dtn_tol", 2e-2)),
-        _assertion("extension_energy_identity", energy_err, 0.0, cfg.get_float("energy_tol", 1e-2)),
+        _assertion("extension_dtn_error", dtn_err, 0.0, dtn_tol),
+        _assertion("extension_energy_identity", energy_err, 0.0, energy_tol),
     ]
     payload = {
         "s": s,
@@ -474,7 +488,12 @@ def _cmd_halfline(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
 def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     which = cfg.get_choice("probe", ("interior", "interior_lp", "boundary", "layer", "harnack"))
     s = cfg.get_float("s", 0.25, lo=1e-9, hi=1.0 - 1e-9)
-    nodes = cfg.get_int("nodes", 2**15 + 1, lo=9)
+    harnack = which == "harnack"  # it decomposes L: a coarser default grid
+    nodes = cfg.get_int("nodes", 257 if harnack else 2**15 + 1, lo=17 if harnack else 9)
+    alpha = cfg.get_float("alpha", 0.2, lo=1e-9, hi=1.0 - 1e-9)
+    p = cfg.get_float("p", 3.0, lo=1.0)
+    r_max, d_max = cfg.get_float("r_max", 0.03125), cfg.get_float("d_max", 0.01)
+    tol = cfg.get_float("tol", 0.05 if which == "boundary" else 0.1)
     grid = Grid((1.0,), (nodes,))
     h = grid.spacing[0]
     report = {"probe": which, "s": s}
@@ -482,30 +501,25 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
 
     if which in ("interior", "interior_lp"):
         if which == "interior":
-            alpha = cfg.get_float("alpha", 0.2, lo=1e-9, hi=1.0 - 1e-9)
             f = GridFunction.from_callable(grid, lambda x: np.abs(x - 0.5) ** alpha)
             target = alpha + 2 * s
             mode = "oscillation"
         else:
-            p = cfg.get_float("p", 3.0, lo=1.0)
             f = lp_spike(grid, (0.5,), p)
             target = 2 * s - 1.0 / p
             mode = "linear" if target > 1.0 else "oscillation"
             alpha = 0.0
         u = fractional_solve_sine(grid, f, s)
-        radii = dyadic_radii(grid, r_max=cfg.get_float("r_max", 0.03125), floor_cells=30.0)
+        radii = dyadic_radii(grid, r_max=r_max, floor_cells=30.0)
         with _fit_needs_nodes():
             fit = interior_exponent(u, CampanatoProbe((0.5,), tuple(radii), alpha=alpha, mode=mode))
-        tol = cfg.get_float("tol", 0.1)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
         report.update({"x0": [0.5], "fit": asdict(fit), "target": target, "tolerance": tol})
     elif which == "boundary":
         u = fractional_solve_sine(grid, GridFunction.ones(grid), s)
-        d_max = cfg.get_float("d_max", 0.01)
         with _fit_needs_nodes():
             fit = boundary_exponent(u, (0.0,), d_min=30 * h, d_max=d_max)
         target = min(2 * s, 1.0)
-        tol = cfg.get_float("tol", 0.05)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
         report.update({"x0": [0.0], "fit": asdict(fit), "target": target, "tolerance": tol})
     elif which == "layer":
@@ -527,8 +541,6 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
             }
         )
     else:  # harnack
-        nodes_h = cfg.get_int("nodes", 257, lo=17)
-        grid = Grid((1.0,), (nodes_h,))
         op = assemble(grid, CoefficientField.identity(grid), DIRICHLET)
         basis = eigendecompose(op)
         f = GridFunction.from_callable(
@@ -542,28 +554,29 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     return assertions, report
 
 
+def _dirichlet_line_ends(grid: Grid) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the 1D Dirichlet identity operator on `grid`, in
+    closed form: (4/h^2) sin^2(k pi h / 2) for k = 1 and n - 2."""
+    h, n = grid.spacing[0], grid.shape[0]
+    lam0, lam_max = (2 / h * np.sin(np.array([1, n - 2]) * np.pi * h / 2)) ** 2
+    return float(lam0), float(lam_max)
+
+
 def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
     nodes = cfg.get_int("nodes", 130, lo=9)
     layers = cfg.get_int("layers", 64, lo=5)
     levels = cfg.get_int("levels", 3, lo=2, hi=40)
-    fine_nodes, fine_layers = (nodes - 1) * 2 ** (levels - 1) + 1, layers * 2 ** (levels - 1)
-    # 30 floats per base node and 24 per y-node (the mesh build and its y-system), before any mesh
-    _check_memory(30 * fine_nodes + 24 * (fine_layers + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
-    # the finest mesh is checked before any level is assembled, with the closed-form spectrum
-    # ends (4/h^2) sin^2(k pi h / 2), k = 1 and n - 2, of the 1D Dirichlet identity
-    fine = Grid((1.0,), (fine_nodes,))
-    lam0, lam_max = (2 / fine.spacing[0] * np.sin(np.array([1, fine_nodes - 2]) * np.pi * fine.spacing[0] / 2)) ** 2
-    _extension_mesh(fine, lam0, lam_max, s, fine_layers)
-
-    errs, energy_errs = [], []
-    for level in range(levels):  # phi_1 of each level: its two multipliers give both errors
+    # 24 floats per y-node of the finest mesh (its build and y-system); no operator is built
+    _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
+    errs, energy_errs = [0.0] * levels, [0.0] * levels
+    for level in reversed(range(levels)):  # finest first: its mesh is checked before any level is solved
         g = Grid((1.0,), ((nodes - 1) * 2**level + 1,))
-        lam0, lam_max = _spectrum_ends(assemble(g, CoefficientField.identity(g), DIRICHLET))
+        lam0, lam_max = _dirichlet_line_ends(g)
         mesh = _extension_mesh(g, lam0, lam_max, s, layers * 2**level)
-        (dtn,), (energy,) = extension_multipliers(mesh, lam0)
-        errs.append(abs(dtn / lam0**s - 1.0))
-        energy_errs.append(abs(energy / (g.cell_volume * dtn_constant_divform(s) * lam0**s) - 1.0))
+        (dtn,), (energy,) = extension_multipliers(mesh, lam0)  # phi_1: its two multipliers give both errors
+        errs[level] = abs(dtn / lam0**s - 1.0)
+        energy_errs[level] = abs(energy / (g.cell_volume * dtn_constant_divform(s) * lam0**s) - 1.0)
     order = float(-np.polyfit(np.log2([2**k for k in range(levels)]), np.log2(errs), 1)[0])
     decreasing = all(a > b for a, b in zip(energy_errs, energy_errs[1:]))
     assertions = [

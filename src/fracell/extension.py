@@ -225,19 +225,11 @@ class ExtensionField:
 @dataclass(frozen=True)
 class ForcingData:
     """Forcing for the perturbed problem: horizontal field F (sampled at
-    base x-faces per layer) and the Neumann-type datum f on the base.
-
-    The vertical component of F is identically zero by construction; a
-    nonzero `vertical` array is rejected to keep the invariant checkable.
-    """
+    base x-faces per layer) and the Neumann-type datum f on the base.  F has
+    no vertical component."""
 
     horizontal: tuple[np.ndarray, ...] | None  # per base axis: (n_faces_axis, layers+1)
     f: GridFunction | None
-    vertical: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.vertical is not None and np.any(self.vertical != 0.0):
-            raise ExtensionError("vertical forcing component must be exactly zero")
 
 
 def _base_stiffness(op: DiscreteOperator) -> sp.csr_matrix:

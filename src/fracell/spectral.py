@@ -316,18 +316,6 @@ def _factor_residual(basis: EigenBasis, op: DiscreteOperator, factors) -> float:
     return float(worst) / math.sqrt(basis.weight)
 
 
-def _spectrum_ends(op: DiscreteOperator) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a 1D operator by `eigh_tridiagonal(select='i')`,
-    O(n) each, with each eigenpair's residual gated like `eigendecompose`'s."""
-    d, e = _kronecker_factors(op)[:2]
-    ends = [sla.eigh_tridiagonal(d, e, select="i", select_range=(k, k)) for k in (0, d.size - 1)]
-    lam = [float(val[0]) for val, _ in ends]
-    res = max(np.linalg.norm(op.matrix @ x - val * x) for val, x in ends) / math.sqrt(op.grid.cell_volume)
-    if res > _RESIDUAL_TOL * max(lam[1], 1.0):
-        raise SpectralError(f"spectrum-ends residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e}*lambda_max")
-    return lam[0], lam[1]
-
-
 def _check_power(s: float, include_one: bool) -> None:
     hi_ok = s <= 1.0 if include_one else s < 1.0
     if not (0.0 < s and hi_ok):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracell.cli import ConfigError, RunConfig, main, parse_config_file, run
+from fracell.cli import COMMANDS, ConfigError, RunConfig, _KEYS, main, parse_config_file, run
 
 
 def test_run_solve_writes_artifacts(tmp_path):
@@ -73,6 +73,52 @@ def test_unknown_key_is_a_config_error_before_any_work(tmp_path, capsys):
         RunConfig("probe", {"probe": "interior", "frob": "1"})
 
 
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["solve", "--nodes=9", "--layers=3"], "layers"),
+        (["kernel", "--nodes=9", "--rhs=ones"], "rhs"),
+        (["extension", "--nodes=9", "--kind=greens"], "kind"),
+        (["halfline", "--nodes=9"], "nodes"),
+        (["probe", "--probe=interior", "--dim=2"], "dim"),
+        (["converge", "--nodes=9", "--gamma=3"], "gamma"),
+    ],
+)
+def test_a_key_of_another_command_is_refused_before_any_work(tmp_path, capsys, args, key):
+    out = tmp_path / "o"
+    assert main([*args, f"--out={out}"]) == 2
+    assert capsys.readouterr().err == f"config error: key {key!r}: the {args[0]} command does not read it\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, heavy",
+    [
+        (["solve", "--nodes=9", "--rhs=sine:x"], "eigendecompose"),
+        (["solve", "--nodes=9", "--eigenvectors=abc"], "eigendecompose"),
+        (["kernel", "--nodes=9", "--slope_tol=abc"], "eigendecompose"),
+        (["kernel", "--nodes=9", "--kind=greens", "--write_kernel=maybe"], "eigendecompose"),
+        (["extension", "--nodes=9", "--u=psi"], "eigendecompose"),
+        (["extension", "--nodes=9", "--dtn_tol=abc"], "eigendecompose"),
+        (["extension", "--nodes=9", "--energy_tol=abc"], "eigendecompose"),
+        (["probe", "--probe=interior", "--r_max=abc"], "fractional_solve_sine"),
+        (["probe", "--probe=interior_lp", "--tol=abc"], "fractional_solve_sine"),
+        (["probe", "--probe=boundary", "--d_max=abc"], "fractional_solve_sine"),
+        (["probe", "--probe=harnack", "--nodes=12"], "Grid"),
+    ],
+)
+def test_every_key_is_read_before_the_heavy_work(tmp_path, capsys, monkeypatch, args, heavy):
+    # a malformed key that is used only after the decomposition or solve is still refused first
+    import fracell.cli as cli
+
+    def refuse(*a, **kw):
+        raise AssertionError(f"{heavy} ran before every key was read")
+
+    monkeypatch.setattr(cli, heavy, refuse)
+    assert main([*args, f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_unknown_command_rejected():
     with pytest.raises(ConfigError):
         RunConfig("frobnicate", {})
@@ -108,16 +154,16 @@ def test_converge_checks_its_finest_mesh_before_any_level(tmp_path, capsys, monk
     import fracell.cli as cli
 
     def no_level(*args, **kwargs):
-        raise AssertionError("a level was assembled before the finest mesh was checked")
+        raise AssertionError("a level was solved before the finest mesh was checked")
 
-    monkeypatch.setattr(cli, "assemble", no_level)
+    monkeypatch.setattr(cli, "extension_multipliers", no_level)
     assert main(["converge", "--nodes=9", "--layers=16", "--levels=8", "--s=0.01", f"--out={tmp_path}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: key 's':") and "2048-layer" in err
 
 
 def test_converge_counts_the_finest_y_nodes_before_any_mesh(tmp_path, capsys, monkeypatch):
-    # memory for 30 floats per finest base node (33) but not for the 257 y-nodes of the finest mesh
+    # memory for just less than 24 floats per y-node of the finest mesh (257 y-nodes)
     import fracell.cli as cli
     from fracell import spectral
 
@@ -125,10 +171,33 @@ def test_converge_counts_the_finest_y_nodes_before_any_mesh(tmp_path, capsys, mo
         raise AssertionError("a mesh was built before its y-nodes were counted")
 
     monkeypatch.setattr(cli, "_extension_mesh", no_mesh)
-    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1.01 * 8 * 30 * 33)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 0.99 * 8 * 24 * 257)
     assert main(["converge", "--nodes=9", "--layers=64", "--levels=3", f"--out={tmp_path}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'nodes':") and "64 layers" in err
+
+
+def test_converge_budgets_y_nodes_only(tmp_path, monkeypatch):
+    # no operator is built, so a 100,001-node base (400,001 at the finest level)
+    # runs in memory for the 65 y-nodes of its finest mesh
+    from fracell import spectral
+
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 1.01 * 8 * 24 * 65)
+    assert main(["converge", "--nodes=100001", "--layers=16", "--levels=3", f"--out={tmp_path}"]) == 0
+
+
+def test_converge_builds_no_operator_and_calls_no_eigensolver(tmp_path, monkeypatch):
+    # every level's spectrum ends come from the closed form of the 1D Dirichlet identity
+    import scipy.linalg
+
+    import fracell.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("converge built an operator or called an eigensolver")
+
+    for module, name in ((cli, "assemble"), (cli, "eigendecompose"), (scipy.linalg, "eigh_tridiagonal"), (scipy.linalg, "eigh")):
+        monkeypatch.setattr(module, name, refuse)
+    assert main(["converge", "--nodes=17", "--layers=8", "--levels=3", f"--out={tmp_path}"]) == 0
 
 
 def test_converge_two_levels(tmp_path):
@@ -375,8 +444,10 @@ def _floats():
 
 
 @st.composite
-def _overrides(draw):
-    known = ("dim", "nodes", *_FLOAT_KEYS, *_CHOICES, *_INT_CAPS)
+def _request(draw):
+    # a command and overrides of the keys it reads
+    command = draw(st.sampled_from(COMMANDS))
+    known = sorted(_KEYS[command] - {"out"})
     keys = draw(st.lists(st.sampled_from(known), max_size=6, unique=True))
     dim = draw(st.sampled_from(("1", "2", "0", "3"))) if "dim" in keys else "1"
     params = {}
@@ -392,23 +463,24 @@ def _overrides(draw):
         else:
             numeric = _floats()
         params[key] = draw(numeric | st.sampled_from(_MALFORMED) | st.sampled_from(_NONFINITE))
-    return params
+    return command, params
 
 
-@given(command=st.sampled_from(("solve", "kernel", "extension", "halfline", "probe", "converge")), params=_overrides())
+@given(case=_request())
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 # tracebacks that a wider search found: each is a named config error now
-@example(command="kernel", params={"s": "1e-9"})
-@example(command="kernel", params={"s": "0.999999999"})
-@example(command="kernel", params={"kind": "greens", "s": "0.01"})
-@example(command="solve", params={"seed": "-1"})
-@example(command="solve", params={"nodes": "9", "rhs": "spike:0"})
-@example(command="solve", params={"dim": "2", "nodes": "24", "extent": "1e-6"})
-@example(command="solve", params={"nodes": "9", "coeff": "constant:1e200"})
-@example(command="converge", params={"nodes": "9", "levels": "1e300"})
-@example(command="extension", params={"dim": "2", "nodes": "10", "layers": "8", "write_field": "true"})
-def test_fuzzed_overrides_end_in_an_exit_code(tmp_path_factory, command, params):
+@example(case=("kernel", {"s": "1e-9"}))
+@example(case=("kernel", {"s": "0.999999999"}))
+@example(case=("kernel", {"kind": "greens", "s": "0.01"}))
+@example(case=("solve", {"seed": "-1"}))
+@example(case=("solve", {"nodes": "9", "rhs": "spike:0"}))
+@example(case=("solve", {"dim": "2", "nodes": "24", "extent": "1e-6"}))
+@example(case=("solve", {"nodes": "9", "coeff": "constant:1e200"}))
+@example(case=("converge", {"nodes": "9", "levels": "1e300"}))
+@example(case=("extension", {"dim": "2", "nodes": "10", "layers": "8", "write_field": "true"}))
+def test_fuzzed_overrides_end_in_an_exit_code(tmp_path_factory, case):
     # a request is a pass (0), a failed assertion (1) or a named config error (2)
+    command, params = case
     out = tmp_path_factory.mktemp("fuzz")
     rc = main([command, *(f"--{k}={v}" for k, v in params.items()), f"--out={out}"])
     assert rc in (0, 1, 2)

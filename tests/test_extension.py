@@ -37,7 +37,7 @@ from fracell.extension import (
     extension_semigroup_eval,
     trace_inequality_check,
 )
-from fracell.spectral import _spectrum_ends
+from fracell.cli import _dirichlet_line_ends
 
 
 @pytest.fixture(scope="module")
@@ -292,12 +292,6 @@ def test_forced_inverse_dtn_consistency(setup_half):
     assert l2_norm(tr - phi1) / l2_norm(phi1) <= 5e-3
 
 
-def test_forcing_rejects_nonzero_vertical_component(setup_half):
-    g, op, basis, mesh = setup_half
-    with pytest.raises(ExtensionError):
-        ForcingData(None, GridFunction.zeros(g), vertical=np.ones(3))
-
-
 def _small_cylinder(shape):
     g = Grid((1.0,) * len(shape), shape)
     op = assemble(g, CoefficientField.identity(g), DIRICHLET)
@@ -434,7 +428,7 @@ def test_multiplier_matches_long_double_reference():
     # field route (two basis transforms of U - u) was 1.4e-6 off
     s = 0.5
     g = Grid((1.0,), (1033,))
-    lam0, _ = _spectrum_ends(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    lam0, _ = _dirichlet_line_ends(g)
     mesh = ExtensionMesh.build(g, s, 512, lam0=lam0)
     (dtn,), _ = extension_multipliers(mesh, lam0)
     err_ref = _long_double_dtn_error(mesh, lam0)

@@ -485,26 +485,11 @@ def test_dense_allocations_check_available_memory(monkeypatch):
 
 @pytest.mark.parametrize("n", [9, 130, 1033])
 def test_spectrum_ends_match_the_closed_form(n):
-    # 1D Dirichlet, A = I: lambda_k = (4/h^2) sin^2(k pi h / 2), k = 1..n-2
+    # `converge` takes each level's spectrum ends from (4/h^2) sin^2(k pi h / 2), k = 1 and n - 2
+    from fracell.cli import _dirichlet_line_ends
+
     g = Grid((1.0,), (n,))
-    h = g.spacing[0]
-    lo, hi = spectral._spectrum_ends(assemble(g, CoefficientField.identity(g), DIRICHLET))
-    assert lo == pytest.approx(4.0 / h**2 * np.sin(np.pi * h / 2) ** 2, rel=1e-10)
-    assert hi == pytest.approx(4.0 / h**2 * np.sin((n - 2) * np.pi * h / 2) ** 2, rel=1e-10)
-
-
-def test_spectrum_ends_gate_trips_on_a_perturbed_eigenvalue(monkeypatch):
-    # at 9 nodes lambda_0 (1 + 1e-6) leaves a residual ~1e-5 against the
-    # gate's 1e-8 lambda_max = 2.5e-6
-    import scipy.linalg
-
-    exact = scipy.linalg.eigh_tridiagonal
-
-    def perturbed(*args, select_range=None, **kw):
-        w, v = exact(*args, select_range=select_range, **kw)
-        return (w * (1.0 + 1e-6) if select_range == (0, 0) else w), v
-
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", perturbed)
-    g = Grid((1.0,), (9,))
-    with pytest.raises(SpectralError, match="residual"):
-        spectral._spectrum_ends(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    basis = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    lo, hi = _dirichlet_line_ends(g)
+    assert lo == pytest.approx(basis.eigenvalues[0], rel=1e-10)
+    assert hi == pytest.approx(basis.lambda_max, rel=1e-10)
