@@ -568,7 +568,10 @@ def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     layers = cfg.get_int("layers", 64, lo=5)
     levels = cfg.get_int("levels", 3, lo=2, hi=40)
     # 24 floats per y-node of the finest mesh (its build and y-system); no operator is built
-    _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
+    try:  # `run` would blame 'nodes', which does not enter this count
+        _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
+    except DenseMemoryError as exc:
+        raise ConfigError(f"key 'levels': {exc}") from None
     errs, energy_errs = [0.0] * levels, [0.0] * levels
     for level in reversed(range(levels)):  # finest first: its mesh is checked before any level is solved
         g = Grid((1.0,), ((nodes - 1) * 2**level + 1,))

@@ -2,7 +2,8 @@
 
 The exact eigendecomposition (by tridiagonal factors in O(N n) storage where
 the operator splits, else one dense `eigh` that must fit in memory) makes this
-module the reference oracle for the semigroup and extension routes.
+module the reference oracle for the semigroup and extension routes.  Factors of
+one constant weight take closed-form eigenpairs, the others `eigh_tridiagonal`.
 Eigenvectors are orthonormalized in the discrete L2 inner product
 (uniform weight h^dim), so kernel matrices built from them are densities.
 """
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .grids import Grid, GridFunction, BoundaryCondition, l2_norm
-from .operators import DiscreteOperator, _kronecker_factors
+from .operators import DiscreteOperator, _kronecker_factors, _tridiagonal
 
 __all__ = [
     "EigenBasis",
@@ -217,9 +218,12 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     A Kronecker sum T_x (x) I + diag(b) (x) T_y (every 1D operator; see
     `_kronecker_factors`) is diagonalised by factors, the fast
     diagonalisation of Lynch, Rice & Thomas (1964): T_y = Q diag(mu) Q^T,
-    then the tridiagonal block T_x + mu_j diag(b) per y-mode j, all with
-    `eigh_tridiagonal`.  Any other operator takes one dense `eigh` (divide
-    and conquer) if its dense copies fit in the available memory.
+    then the tridiagonal block T_x + mu_j diag(b) per y-mode j.  Q, mu (T_y
+    has one weight) and, for constant b and a one-weight T_x (A = cI or
+    diag), the blocks' shared X with lambda = lambda_x + mu_j b0 are the
+    closed form of `_line_eigenpairs`; other blocks take `eigh_tridiagonal`,
+    and `_factor_residual` gates both.  Any other operator takes one dense
+    `eigh` (divide and conquer) if its dense copies fit in the available memory.
 
     Eigenvectors are rescaled to discrete L2 orthonormality.  Raises with
     residual diagnostics if the decomposition fails the quality gates.
@@ -231,11 +235,15 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     if factors is not None:
         d, e, b, dy, ey = factors
         _check_memory((2 * dy.size + 1) * d.size**2, f"{dy.size} x {d.size} x {d.size} block eigenvectors")
-        if dy.size == 1:  # one y-mode (1D): T_y = [dy0] needs no solve, and scipy's batching would copy X
-            lam, X = sla.eigh_tridiagonal(d + dy[0] * b, e)
-            Q, lam, X = np.ones((1, 1)), lam[None], X[None]
+        mu, Q = _line_eigenpairs(dy, ey, op.bc.is_dirichlet)  # T_y has one weight, 1/hy^2 (1D: [0])
+        line = _line_eigenpairs(d, e, op.bc.is_dirichlet) if np.all(b == b[0]) else None
+        if line is not None:  # every block T_x + mu_j b0 I shares T_x's eigenvectors
+            lam, X = line[0] + mu[:, None] * b[0], line[1][None]
+            X = X if mu.size == 1 else np.repeat(X, mu.size, axis=0)
+        elif dy.size == 1:  # one y-mode: scipy's batching would copy X
+            lam, X = sla.eigh_tridiagonal(d + mu[0] * b, e)
+            lam, X = lam[None], X[None]
         else:
-            mu, Q = sla.eigh_tridiagonal(dy, ey)
             lam, X = sla.eigh_tridiagonal(d + mu[:, None] * b, np.broadcast_to(e, (mu.size, e.size)))
         order = np.argsort(lam, axis=None, kind="stable")
         lam = lam.ravel()[order]
@@ -269,6 +277,30 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     if res > _RESIDUAL_TOL * scale:
         raise SpectralError(f"eigensolver residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e}*lambda_max")
     return basis
+
+
+def _line_eigenpairs(d: np.ndarray, e: np.ndarray, dirichlet: bool):
+    """Exact ascending eigenpairs (lam, V), V l2-orthonormal, of the `_tridiagonal` stencil
+    (d, e) of n nodes if all its faces have one weight w, else None.  Dirichlet:
+    lam_k = 4w sin^2(k pi / (2(n+1))), V[j, k] ~ sin(j k pi / (n+1)), j, k = 1..n; Neumann:
+    lam_k = 4w sin^2(k pi / (2n)), V[j, k] ~ cos((2j+1) k pi / (2n)), j, k = 0..n-1 (DCT-II).
+    Each entry is read from one period of sin(2 pi p / m) at its integer phase p reduced
+    mod m, so no sine sees an argument past 2 pi."""
+    n = d.size
+    w = d[0] / 2 if dirichlet else d[0]  # a Neumann end node has one face
+    wd, we = _tridiagonal(np.full(n + 1 if dirichlet else n - 1, w), dirichlet)
+    if not (np.array_equal(d, wd) and np.array_equal(e, we)):
+        return None
+    if dirichlet:
+        k, m, scale = np.arange(1, n + 1), 2 * (n + 1), math.sqrt(2 / (n + 1))
+        phase, half_angle = np.multiply.outer(k, k), k * np.pi / (2 * (n + 1))
+    else:  # cos(x) = sin(x + 2 pi (m/4) / m)
+        k, m, scale = np.arange(n), 4 * n, math.sqrt(2 / n)
+        phase, half_angle = np.multiply.outer(2 * k + 1, k) + n, k * np.pi / (2 * n)
+    V = (scale * np.sin(2 * np.pi / m * np.arange(m)))[np.remainder(phase, m, out=phase)]
+    if not dirichlet:
+        V[:, 0] = 1 / math.sqrt(n)
+    return 4 * w * np.sin(half_angle) ** 2, V
 
 
 def _factor_residual(basis: EigenBasis, op: DiscreteOperator, factors) -> float:

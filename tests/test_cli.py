@@ -174,7 +174,21 @@ def test_converge_counts_the_finest_y_nodes_before_any_mesh(tmp_path, capsys, mo
     monkeypatch.setattr(spectral, "_available_bytes", lambda: 0.99 * 8 * 24 * 257)
     assert main(["converge", "--nodes=9", "--layers=64", "--levels=3", f"--out={tmp_path}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: key 'nodes':") and "64 layers" in err
+    assert err.startswith("config error: key 'levels':") and "64 layers" in err
+
+
+def test_converge_memory_error_names_the_levels(tmp_path, capsys, monkeypatch):
+    # 30 levels of 64 layers: 2^35 finest y-nodes, refused before any mesh is built
+    import fracell.cli as cli
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before its y-nodes were counted")
+
+    monkeypatch.setattr(cli, "_extension_mesh", no_mesh)
+    assert main(["converge", "--layers=64", "--levels=30", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'levels':")
+    assert "30 levels from 130 nodes and 64 layers" in err
 
 
 def test_converge_budgets_y_nodes_only(tmp_path, monkeypatch):

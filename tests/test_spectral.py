@@ -414,7 +414,14 @@ def test_factor_certificate_bounds_the_residual(shape, bc, coeff):
     tri = lambda diag, off: np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     kron = np.kron(tri(d, e), np.eye(dy.size)) + np.kron(np.diag(b), tri(dy, ey))
     delta = np.linalg.norm(op.matrix.toarray() - kron) / np.sqrt(basis.weight)
-    assert exact <= cert <= 10.0 * exact + (1.0 + 1e-9) * delta
+    # the certificate's own rounding allowance, (m + 3) u (2 max diag + delta + lambda_max) / sqrt(weight):
+    # an exact basis (the closed form of a one-weight line) can leave `exact` below a tenth of it
+    m, diag = np.diff(op.matrix.indptr).max(), (d[:, None] + b[:, None] * dy).max()
+    u = np.finfo(float).eps / 2
+    allowance = (m + 3) * u * (2.0 * diag + delta * np.sqrt(basis.weight) + basis.lambda_max) / np.sqrt(basis.weight)
+    bound = 10.0 * exact + (1.0 + 1e-9) * (delta + allowance)
+    assert exact <= cert <= bound
+    assert 10.0 * cert > bound  # the clause still catches a certificate ten times too loose
     assert cert <= 1e-4 * _gate(basis)  # the gate keeps its margin
 
 
@@ -433,6 +440,103 @@ def test_factor_certificate_trips_on_a_perturbed_eigenvalue(shape, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", top_scaled)
     with pytest.raises(SpectralError, match="residual"):
         eigendecompose(op)
+
+
+@pytest.mark.parametrize("shape", [(65,), (13, 13)], ids=str)
+def test_factor_certificate_trips_on_a_perturbed_closed_form_eigenvalue(shape, monkeypatch):
+    op, factors, basis = _certified(shape, NEUMANN, "identity")
+    exact = spectral._line_eigenpairs
+
+    def top_scaled(*args):  # every one-weight line's largest eigenvalue 1e-6 too high
+        lam, V = exact(*args)
+        return np.where(lam == lam.max(), lam * (1.0 + 1e-6), lam), V
+
+    monkeypatch.setattr(spectral, "_line_eigenpairs", top_scaled)
+    with pytest.raises(SpectralError, match="residual"):
+        eigendecompose(op)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 130, 1025])
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+def test_line_eigenpairs_match_eigh_tridiagonal(dirichlet, n):
+    from fracell.operators import _tridiagonal
+
+    d, e = _tridiagonal(np.full(n + 1 if dirichlet else n - 1, 3.7), dirichlet)
+    lam, V = spectral._line_eigenpairs(d, e, dirichlet)
+    ref, V_ref = scipy.linalg.eigh_tridiagonal(d, e) if n > 1 else (d, np.ones((1, 1)))
+    top = max(ref.max(), 1.0)
+    assert np.all(np.abs(lam - ref) <= 1e-13 * top)
+    gap = np.abs(ref[:, None] - ref[None, :]) + np.eye(n) * top
+    assert gap.min() > 1e-13 * top  # every eigenvalue is simple: its vector is fixed up to sign
+    sign_err = np.minimum(np.abs(V - V_ref).max(axis=0), np.abs(V + V_ref).max(axis=0))
+    assert sign_err.max() <= 1e-12
+    kinked = np.full(n + 1 if dirichlet else n - 1, 3.7)
+    kinked[kinked.size // 2 :] *= 2.0
+    if n > 2:  # a stencil of two weights is not of the closed form
+        assert spectral._line_eigenpairs(*_tridiagonal(kinked, dirichlet), dirichlet) is None
+
+
+_ONE_WEIGHT_SPECS = {1: ["identity", "constant:2", "diag:3"], 2: ["identity", "constant:2", "diag:1,3"]}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_one_weight_operators_call_no_lapack_eigensolver(dim, bc, monkeypatch):
+    from fracell.cli import coefficient_from_spec
+
+    g = Grid((1.0,) * dim, (33,) if dim == 1 else (14, 11))
+    exact, calls = scipy.linalg.eigh_tridiagonal, []
+
+    def recorded(diag, off, **kw):
+        calls.append(np.shape(diag))
+        return exact(diag, off, **kw)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver was called for a one-weight operator")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    for spec in _ONE_WEIGHT_SPECS[dim]:
+        op = assemble(g, coefficient_from_spec(g, spec), bc)
+        with monkeypatch.context() as m:
+            m.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+            basis = eigendecompose(op)
+        assert basis.residual(op) <= 1e-13 * basis.lambda_max
+    # a variable weight still takes eigh_tridiagonal, for the x-blocks only
+    op = assemble(g, coefficient_from_spec(g, "sine"), bc)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+    basis = eigendecompose(op)
+    nx, ny = basis.X.shape[1], basis.Q.shape[0]
+    assert calls == ([(nx,)] if dim == 1 else [(ny, nx)])
+
+
+# the orthonormality defect and residual / lambda_max of the LAPACK factors this replaced
+_LAPACK_DEFECTS = [
+    ((1025,), DIRICHLET, 4.2e-15, 3.0e-14),
+    ((4097,), DIRICHLET, 7.7e-15, 1.2e-13),
+    ((48, 48), NEUMANN, 3.6e-15, 4.1e-14),
+]
+
+
+@pytest.mark.parametrize("shape, bc, orth, res", _LAPACK_DEFECTS, ids=["1025", "4097", "48x48-neumann"])
+def test_closed_form_basis_is_no_less_accurate_than_lapack(shape, bc, orth, res):
+    g = Grid((1.0,) * len(shape), shape)
+    op = assemble(g, CoefficientField.identity(g), bc)
+    basis = eigendecompose(op)
+    assert basis.orthonormality_defect() <= orth
+    assert basis.residual(op) <= res * basis.lambda_max
+    if shape == (1025,):  # 4 (1/h)^2 sin^2(pi h / 2), h = 1/1024, in extended precision
+        pi = 4 * np.arctan(np.longdouble(1))
+        ref = float(4 * np.longdouble(1024) ** 2 * np.sin(pi / 2048) ** 2)
+        assert abs(basis.eigenvalues[0] - ref) <= 4 * np.spacing(ref)
+
+
+def test_tied_eigenvalues_keep_one_order():
+    g = Grid((1.0, 1.0), (24, 24))
+    op = assemble(g, CoefficientField.identity(g), DIRICHLET)
+    first = eigendecompose(op)
+    assert np.any(np.diff(first.eigenvalues) == 0.0)  # lambda_jk = lambda_kj exactly on a square grid
+    for _ in range(3):
+        assert np.array_equal(eigendecompose(op).order, first.order)
 
 
 def test_factor_certificate_trips_on_a_perturbed_q_column():
