@@ -14,7 +14,6 @@ from .grids import (
     DIRICHLET,
     NEUMANN,
     CoefficientField,
-    ellipticity_check,
     hs_seminorm,
     l2_inner,
     l2_norm,
@@ -34,7 +33,6 @@ from .semigroup import (
     balakrishnan_scalar,
     balakrishnan_apply,
     heat_apply,
-    heat_apply_stepped,
     heat_kernel,
     jump_kernel,
     killing_term,
@@ -63,7 +61,6 @@ __all__ = [
     "DIRICHLET",
     "NEUMANN",
     "CoefficientField",
-    "ellipticity_check",
     "hs_seminorm",
     "l2_inner",
     "l2_norm",
@@ -81,7 +78,6 @@ __all__ = [
     "balakrishnan_scalar",
     "balakrishnan_apply",
     "heat_apply",
-    "heat_apply_stepped",
     "heat_kernel",
     "jump_kernel",
     "killing_term",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -87,30 +88,98 @@ from .io import (
     write_report_json,
 )
 
-# the keys each command reads, besides `seed` and the output directory `out`
-_PROBLEM = "dim nodes extent bc coeff s"  # `_build_problem` and the power s
-_KEYS = {
-    command: frozenset(f"seed out {keys}".split())
-    for command, keys in {
-        "solve": f"{_PROBLEM} rhs eigenvectors",
-        "kernel": f"{_PROBLEM} kind fit_rmin fit_rmax margin slope_tol write_kernel",
-        "extension": f"{_PROBLEM} layers gamma write_field u dtn_tol energy_tol",
-        "halfline": "s T",
-        "probe": "probe s nodes alpha p r_max tol d_max",
-        "converge": "s nodes layers levels",
+
+def _s(default, hi=1.0 - 1e-9):
+    return ("s", float, default, 1e-9, hi)
+
+
+# One table per command of rows (key, kind, default, lo, hi), parsed in order when a
+# RunConfig is built.  A kind is int, float, bool, str (a spec, parsed with its grid) or
+# a tuple of choices, which may be ints.  An unset key without a default is None; a
+# default or lo may be a function of the keys parsed before it.
+_PROBLEM = (
+    ("dim", (1, 2), 1), ("nodes", int, 130, 3),
+    ("extent", float, 1.0, 1e-12, 1e12),  # 1/h^2 must not underflow
+    ("bc", ("dirichlet", "neumann"), "dirichlet"), ("coeff", str, "identity"),
+)
+_TABLES = {
+    command: (("seed", int, 0, 0), ("out", str, "fracell_out"), *rows)
+    for command, rows in {
+        "solve": (*_PROBLEM, _s(0.5, 1.0), ("rhs", str, "ones"), ("eigenvectors", int, 3, 0)),
+        "kernel": (
+            *_PROBLEM, _s(0.5), ("kind", ("jump", "greens"), "jump"),
+            ("fit_rmin", float), ("fit_rmax", float), ("margin", float),
+            ("slope_tol", float, lambda v: 0.15 if v["kind"] == "jump" else 0.1, 0.0), ("write_kernel", bool, False),
+        ),
+        "extension": (
+            *_PROBLEM, _s(0.5), ("layers", int, 64, 5),  # dtn_extract fits 4 layers below the lid
+            ("gamma", float), ("write_field", bool, False), ("u", ("phi1", "bump"), "phi1"),
+            ("dtn_tol", float, 2e-2, 0.0), ("energy_tol", float, 1e-2, 0.0),
+        ),
+        "halfline": (_s(0.25), ("T", float, 16.0, 1.0)),
+        "probe": (
+            ("probe", ("interior", "interior_lp", "boundary", "layer", "harnack")), _s(0.25),
+            # harnack decomposes L: a coarser default grid
+            ("nodes", int, lambda v: 257 if v["probe"] == "harnack" else 2**15 + 1, lambda v: 17 if v["probe"] == "harnack" else 9),
+            ("alpha", float, 0.2, 1e-9, 1.0 - 1e-9), ("p", float, 3.0, 1.0),
+            ("r_max", float, 0.03125, 1e-12), ("d_max", float, 0.01, 1e-12),
+            ("tol", float, lambda v: 0.05 if v["probe"] == "boundary" else 0.1, 0.0),
+        ),
+        "converge": (_s(0.5), ("nodes", int, 130, 9), ("layers", int, 64, 5), ("levels", int, 3, 2, 40)),
     }.items()
 }
-COMMANDS = tuple(_KEYS)
+_VALUES = {command: namedtuple(command, [row[0] for row in rows]) for command, rows in _TABLES.items()}
+_KEYS = {command: frozenset(values._fields) for command, values in _VALUES.items()}
+COMMANDS = tuple(_TABLES)
+_MEMORY_KEY = {"converge": "levels"}  # the key a DenseMemoryError names, else "nodes"
 
 
 class ConfigError(ValueError):
     """Bad or missing configuration key; the message names it."""
 
 
+def _value(key, val, parsed: dict, kind, default=None, lo=None, hi=None):
+    """`key`'s value from its raw `val` (None when unset) by its table row."""
+    if val is None:
+        val = default(parsed) if callable(default) else default
+    lo = lo(parsed) if callable(lo) else lo
+    if isinstance(kind, tuple) and isinstance(kind[0], str):
+        if val not in kind:
+            raise ConfigError(f"key {key!r}: expected one of {kind}, got {val!r}")
+        return val
+    if val is None or kind is str:
+        return val
+    if kind is bool:
+        val = str(val).lower()
+        if val not in ("true", "false", "0", "1"):
+            raise ConfigError(f"key {key!r}: expected true/false, got {val!r}")
+        return val in ("true", "1")
+    try:
+        x = float(val)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key!r}: not a number: {val!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"key {key!r}: not a finite number: {val!r}")
+    x_lo = lo if kind is float else None  # an int's lo is checked below
+    if x_lo is not None and x < x_lo or hi is not None and x > hi:
+        raise ConfigError(f"key {key!r}: value {x} outside [{x_lo}, {hi}]")
+    if kind is float:
+        return x
+    if x != int(x):
+        raise ConfigError(f"key {key!r}: expected an integer, got {x}")
+    n = int(x)
+    if lo is not None and n < lo:
+        raise ConfigError(f"key {key!r}: value {n} below minimum {lo}")
+    if kind is not int and n not in kind:
+        raise ConfigError(f"key {key!r}: must be {' or '.join(map(str, kind))}")
+    return n
+
+
 @dataclass
 class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
+    values: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -120,44 +189,10 @@ class RunConfig:
             if any(key in keys for keys in _KEYS.values()):
                 raise ConfigError(f"key {key!r}: the {self.command} command does not read it")
             raise ConfigError(f"key {key!r}: unknown key")
-
-    def raw(self, key: str, default=None):
-        return self.params.get(key, default)
-
-    def get_float(self, key, default=None, lo=None, hi=None) -> float:
-        val = self.params.get(key, default)
-        if val is None:
-            raise ConfigError(f"key {key!r}: required but missing")
-        try:
-            x = float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"key {key!r}: not a number: {val!r}") from None
-        if not math.isfinite(x):
-            raise ConfigError(f"key {key!r}: not a finite number: {val!r}")
-        if lo is not None and x < lo or hi is not None and x > hi:
-            raise ConfigError(f"key {key!r}: value {x} outside [{lo}, {hi}]")
-        return x
-
-    def get_int(self, key, default=None, lo=None, hi=None) -> int:
-        x = self.get_float(key, default, hi=hi)
-        if x != int(x):
-            raise ConfigError(f"key {key!r}: expected an integer, got {x}")
-        n = int(x)
-        if lo is not None and n < lo:
-            raise ConfigError(f"key {key!r}: value {n} below minimum {lo}")
-        return n
-
-    def get_choice(self, key, choices, default=None) -> str:
-        val = self.params.get(key, default)
-        if val not in choices:
-            raise ConfigError(f"key {key!r}: expected one of {choices}, got {val!r}")
-        return val
-
-    def get_bool(self, key, default="false") -> bool:
-        val = str(self.params.get(key, default)).lower()
-        if val not in ("true", "false", "0", "1"):
-            raise ConfigError(f"key {key!r}: expected true/false, got {val!r}")
-        return val in ("true", "1")
+        parsed = {}
+        for key, *row in _TABLES[self.command]:
+            parsed[key] = _value(key, self.params.get(key), parsed, *row)
+        self.values = _VALUES[self.command](**parsed)
 
     def resolved(self) -> dict:
         """Canonical config for hashing/reporting; the output directory is
@@ -243,16 +278,13 @@ def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, rng) -> GridFunc
     raise ConfigError(f"key 'rhs': unknown spec {spec!r}")
 
 
-def _build_problem(cfg: RunConfig):
-    dim = cfg.get_int("dim", 1)
-    if dim not in (1, 2):
-        raise ConfigError("key 'dim': must be 1 or 2")
-    nodes = cfg.get_int("nodes", 130, lo=3)
-    extent = cfg.get_float("extent", 1.0, lo=1e-12, hi=1e12)  # 1/h^2 must not underflow
-    grid = Grid((extent,) * dim, (nodes,) * dim)
-    bc = BoundaryCondition(cfg.get_choice("bc", ("dirichlet", "neumann"), "dirichlet"))
+def _build_problem(v):
+    # ~24 floats per node in 1D, ~36 in 2D (tracemalloc at 10^6 and 700^2 nodes)
+    _check_memory((12 + 12 * v.dim) * v.nodes**v.dim, f"a {v.dim}D grid of {v.nodes**v.dim} nodes and its operator")
+    grid = Grid((v.extent,) * v.dim, (v.nodes,) * v.dim)
+    bc = BoundaryCondition(v.bc)
     try:
-        A = coefficient_from_spec(grid, cfg.raw("coeff", "identity"))
+        A = coefficient_from_spec(grid, v.coeff)
     except GridError as exc:  # a field that is not uniformly elliptic
         raise ConfigError(f"key 'coeff': {exc}") from None
     op = assemble(grid, A, bc)
@@ -285,18 +317,16 @@ def _assertion(name, value, target, tol, mode="le") -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
-    grid, bc, A, op = _build_problem(cfg)
-    s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0)
-    f = rhs_from_spec(grid, cfg.raw("rhs", "ones"), bc, rng)
-    eigenvectors = cfg.get_int("eigenvectors", 3, lo=0)
+def _cmd_solve(v, out: Path, rng) -> tuple[list, dict]:
+    grid, bc, A, op = _build_problem(v)
+    f = rhs_from_spec(grid, v.rhs, bc, rng)
     basis = eigendecompose(op)
     try:
-        u = fractional_solve(basis, f, s)
+        u = fractional_solve(basis, f, v.s)
     except CompatibilityError as exc:
         failed = {**_assertion("solve_compatible_datum", math.inf, 0.0, 0.0), "detail": str(exc)}
         return [failed], {"error": str(exc)}
-    back = fractional_apply(basis, u, s)
+    back = fractional_apply(basis, u, v.s)
     # compare on the active nodes: the Dirichlet representation of f drops
     # boundary samples, the Neumann one its mean
     mask = basis.active_mask
@@ -306,10 +336,10 @@ def _cmd_solve(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     diff = back.values[mask] - fv
     resid = float(np.linalg.norm(diff) / max(np.linalg.norm(fv), 1e-300))
     write_field_csv(out / "solution.csv", u)
-    write_grid_json(out / "problem.json", grid, bc, cfg.raw("coeff", "identity"))
+    write_grid_json(out / "problem.json", grid, bc, v.coeff)
     write_eigen_csv(out / "spectrum.csv", basis)
     write_eigen_summary(out / "spectrum.json", basis)
-    write_eigenvectors(out, basis, eigenvectors)
+    write_eigenvectors(out, basis, v.eigenvectors)
     assertions = [_assertion("solve_round_trip", resid, 0.0, 1e-8)]
     return assertions, {
         "solution_l2": l2_norm(u),
@@ -318,19 +348,12 @@ def _cmd_solve(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     }
 
 
-def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
-    grid, bc, A, op = _build_problem(cfg)
-    s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
-    kind = cfg.get_choice("kind", ("jump", "greens"), "jump")
+def _cmd_kernel(v, out: Path, rng) -> tuple[list, dict]:
+    grid, bc, A, op = _build_problem(v)
+    s, kind, tol = v.s, v.kind, v.slope_tol
     if kind == "greens" and not bc.is_dirichlet:
         raise ConfigError("key 'bc': the Green function needs bc=dirichlet (a Neumann spectrum has a zero mode)")
-    window = {
-        "r_min": _optional_float(cfg, "fit_rmin"),
-        "r_max": _optional_float(cfg, "fit_rmax"),
-        "interior_margin": _optional_float(cfg, "margin"),
-    }
-    tol = cfg.get_float("slope_tol", 0.15 if kind == "jump" else 0.1, lo=0.0)
-    write_kernel = cfg.get_bool("write_kernel")
+    window = {"r_min": v.fit_rmin, "r_max": v.fit_rmax, "interior_margin": v.margin}
     basis = eigendecompose(op)
     n = grid.dim
     assertions = []
@@ -360,23 +383,15 @@ def _cmd_kernel(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
             assertions.append(_assertion("greens_slope", fit.slope, target, tol, "abs"))
         payload["fit"] = asdict(fit)
         payload["route_agreement"] = routes
-    if write_kernel:
-        kernel_obj = K if kind == "jump" else G
-        write_kernel_csv(out / f"{kind}_kernel.csv", kernel_obj)
+    if v.write_kernel:
+        write_kernel_csv(out / f"{kind}_kernel.csv", K if kind == "jump" else G)
     write_report_json(out / "kernel_fit.json", payload)
     return assertions, payload
 
 
-def _optional_float(cfg: RunConfig, key: str):
-    return None if cfg.raw(key) is None else cfg.get_float(key)
-
-
 @contextmanager
 def _fit_needs_nodes():
-    """A fit with too few grid points in its window is a config error on 'nodes'.
-
-    Parse every config key before entering: a ConfigError is itself a
-    ValueError and would be relabelled here."""
+    """A fit with too few grid points in its window is a config error on 'nodes'."""
     try:
         yield
     except DenseMemoryError:
@@ -389,10 +404,14 @@ def _extension_mesh(grid, lam0, lam_max, s, layers, gamma=None) -> ExtensionMesh
     """The graded cylinder mesh over `grid` for the spectrum [lam0, lam_max].  A grading
     the y-nodes cannot hold (gamma < 1, or y_1 underflowing), or whose DtN fit layers
     y_1..y_4 are so low that U - u rounds away ((sqrt(lam_max) y_4)^{2s} < 1e-12), is a
-    config error on 'gamma', or on 's' for the default grading max(3, 1/s)."""
+    config error on 'gamma', or on 's' for the default grading max(3, 1/s); y-nodes past
+    memory (4 floats each) are one on 'layers'."""
     key = "s" if gamma is None else "gamma"
     try:
+        _check_memory(4 * (layers + 1), f"a {layers}-layer mesh")
         mesh = ExtensionMesh.build(grid, s, layers, gamma_mesh=gamma, lam0=lam0)
+    except DenseMemoryError as exc:
+        raise ConfigError(f"key 'layers': {exc}") from None
     except ExtensionError as exc:
         raise ConfigError(f"key {key!r}: {exc}") from None
     y4 = mesh.y_nodes[4]
@@ -416,35 +435,26 @@ def _extension_errors(basis, u: GridFunction, mesh: ExtensionMesh):
     return dtn_err, abs(energy - energy_ref) / energy_ref, g / lam_s - 1.0, e / (basis.weight * d_s * lam_s) - 1.0
 
 
-def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
-    grid, bc, A, op = _build_problem(cfg)
+def _cmd_extension(v, out: Path, rng) -> tuple[list, dict]:
+    grid, bc, A, op = _build_problem(v)
     if not bc.is_dirichlet:
         raise ConfigError("key 'bc': extension command drives the Dirichlet problem")
-    s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
-    layers = cfg.get_int("layers", 64, lo=5)  # dtn_extract fits 4 layers below the lid
-    gamma = _optional_float(cfg, "gamma")
-    write_field = cfg.get_bool("write_field")
-    if write_field and grid.dim != 1:
+    if v.write_field and grid.dim != 1:
         raise ConfigError("key 'write_field': the extension field CSV covers 1D bases")
-    which = cfg.get_choice("u", ("phi1", "bump"), "phi1")
-    dtn_tol, energy_tol = cfg.get_float("dtn_tol", 2e-2), cfg.get_float("energy_tol", 1e-2)
     basis = eigendecompose(op)
-    mesh = _extension_mesh(grid, basis.lambda_min_positive, basis.lambda_max, s, layers, gamma)
-    if which == "phi1":
-        u = basis.eigenfunction(0)
-    else:
-        u = rhs_from_spec(grid, "bump", bc, rng)
+    mesh = _extension_mesh(grid, basis.lambda_min_positive, basis.lambda_max, v.s, v.layers, v.gamma)
+    u = basis.eigenfunction(0) if v.u == "phi1" else rhs_from_spec(grid, "bump", bc, rng)
     dtn_err, energy_err, *defects = _extension_errors(basis, u, mesh)
     write_modes_csv(out / "extension_modes.csv", basis.eigenvalues, *defects)
-    if write_field:
+    if v.write_field:
         write_extension_csv(out / "extension.csv", solve_extension(op, u, mesh, basis))
     assertions = [
-        _assertion("extension_dtn_error", dtn_err, 0.0, dtn_tol),
-        _assertion("extension_energy_identity", energy_err, 0.0, energy_tol),
+        _assertion("extension_dtn_error", dtn_err, 0.0, v.dtn_tol),
+        _assertion("extension_energy_identity", energy_err, 0.0, v.energy_tol),
     ]
     payload = {
-        "s": s,
-        "mesh": {"layers": layers, "height": mesh.height, "gamma": mesh.gamma_mesh},
+        "s": v.s,
+        "mesh": {"layers": v.layers, "height": mesh.height, "gamma": mesh.gamma_mesh},
         "dtn_error": dtn_err,
         "energy_error": energy_err,
     }
@@ -452,16 +462,15 @@ def _cmd_extension(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     return assertions, payload
 
 
-def _cmd_halfline(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
-    s = cfg.get_float("s", 0.25, lo=1e-9, hi=1.0 - 1e-9)
-    T = cfg.get_float("T", 16.0, lo=1.0)
+def _cmd_halfline(v, out: Path, rng) -> tuple[list, dict]:
+    s = v.s
     assertions = []
     payload = {"s": s}
     if s < 0.5:
         rhs, xs = RHS_ONE, np.geomspace(1e-3, 1e-1, 12)
     else:
         rhs, xs = RHS_INDICATOR, np.linspace(0.05, 0.45, 9)
-    problem = HalfLineProblem(s, rhs, truncation=T)
+    problem = HalfLineProblem(s, rhs, truncation=v.T)
     vals = halfline_inverse_quadrature(problem, xs)
     cf = closed_form_halfline(problem, xs)
     if s < 0.5:  # down to s = 1e-9 the values carry the slope 2s to ~1e-6 relative, checked to 1e-3 of 2s
@@ -485,16 +494,9 @@ def _cmd_halfline(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     return assertions, payload
 
 
-def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
-    which = cfg.get_choice("probe", ("interior", "interior_lp", "boundary", "layer", "harnack"))
-    s = cfg.get_float("s", 0.25, lo=1e-9, hi=1.0 - 1e-9)
-    harnack = which == "harnack"  # it decomposes L: a coarser default grid
-    nodes = cfg.get_int("nodes", 257 if harnack else 2**15 + 1, lo=17 if harnack else 9)
-    alpha = cfg.get_float("alpha", 0.2, lo=1e-9, hi=1.0 - 1e-9)
-    p = cfg.get_float("p", 3.0, lo=1.0)
-    r_max, d_max = cfg.get_float("r_max", 0.03125), cfg.get_float("d_max", 0.01)
-    tol = cfg.get_float("tol", 0.05 if which == "boundary" else 0.1)
-    grid = Grid((1.0,), (nodes,))
+def _cmd_probe(v, out: Path, rng) -> tuple[list, dict]:
+    which, s, alpha, tol = v.probe, v.s, v.alpha, v.tol
+    grid = Grid((1.0,), (v.nodes,))
     h = grid.spacing[0]
     report = {"probe": which, "s": s}
     assertions = []
@@ -505,12 +507,12 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
             target = alpha + 2 * s
             mode = "oscillation"
         else:
-            f = lp_spike(grid, (0.5,), p)
-            target = 2 * s - 1.0 / p
+            f = lp_spike(grid, (0.5,), v.p)
+            target = 2 * s - 1.0 / v.p
             mode = "linear" if target > 1.0 else "oscillation"
             alpha = 0.0
         u = fractional_solve_sine(grid, f, s)
-        radii = dyadic_radii(grid, r_max=r_max, floor_cells=30.0)
+        radii = dyadic_radii(grid, r_max=v.r_max, floor_cells=30.0)
         with _fit_needs_nodes():
             fit = interior_exponent(u, CampanatoProbe((0.5,), tuple(radii), alpha=alpha, mode=mode))
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
@@ -518,7 +520,7 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
     elif which == "boundary":
         u = fractional_solve_sine(grid, GridFunction.ones(grid), s)
         with _fit_needs_nodes():
-            fit = boundary_exponent(u, (0.0,), d_min=30 * h, d_max=d_max)
+            fit = boundary_exponent(u, (0.0,), d_min=30 * h, d_max=v.d_max)
         target = min(2 * s, 1.0)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
         report.update({"x0": [0.0], "fit": asdict(fit), "target": target, "tolerance": tol})
@@ -528,24 +530,15 @@ def _cmd_probe(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
         growth = min(2 * s, 1.0)
         with _fit_needs_nodes():
             fit_u = boundary_exponent(u, (0.0,), 30 * h, 0.01)
-            v = dirichlet_layer_split(u, f, s, lambda d: d**growth, (0.0,), (30 * h, 0.005))
-            fit_v = boundary_exponent(v, (0.0,), 30 * h, 0.01)
+            split = dirichlet_layer_split(u, f, s, lambda d: d**growth, (0.0,), (30 * h, 0.005))
+            fit_v = boundary_exponent(split, (0.0,), 30 * h, 0.01)
         gain = fit_v.exponent - fit_u.exponent
         assertions.append(_assertion("layer_split_improvement", -gain, 0.0, 0.0))
-        report.update(
-            {
-                "x0": [0.0],
-                "exponent_u": fit_u.exponent,
-                "exponent_v": fit_v.exponent,
-                "improvement": gain,
-            }
-        )
+        report.update({"x0": [0.0], "exponent_u": fit_u.exponent, "exponent_v": fit_v.exponent, "improvement": gain})
     else:  # harnack
         op = assemble(grid, CoefficientField.identity(grid), DIRICHLET)
         basis = eigendecompose(op)
-        f = GridFunction.from_callable(
-            grid, lambda x: np.where((x > 0.05) & (x < 0.15), 1.0, 0.0)
-        )
+        f = GridFunction.from_callable(grid, lambda x: np.where((x > 0.05) & (x < 0.15), 1.0, 0.0))
         rep = harnack_quotient(basis, f, s, (0.6,), 0.2)
         assertions.append(_assertion("harnack_quotient_lower", -rep["quotient"], -1.0, 0.0))
         report.update(rep)
@@ -562,16 +555,10 @@ def _dirichlet_line_ends(grid: Grid) -> tuple[float, float]:
     return float(lam0), float(lam_max)
 
 
-def _cmd_converge(cfg: RunConfig, out: Path, rng) -> tuple[list, dict]:
-    s = cfg.get_float("s", 0.5, lo=1e-9, hi=1.0 - 1e-9)
-    nodes = cfg.get_int("nodes", 130, lo=9)
-    layers = cfg.get_int("layers", 64, lo=5)
-    levels = cfg.get_int("levels", 3, lo=2, hi=40)
+def _cmd_converge(v, out: Path, rng) -> tuple[list, dict]:
+    s, nodes, layers, levels = v.s, v.nodes, v.layers, v.levels
     # 24 floats per y-node of the finest mesh (its build and y-system); no operator is built
-    try:  # `run` would blame 'nodes', which does not enter this count
-        _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
-    except DenseMemoryError as exc:
-        raise ConfigError(f"key 'levels': {exc}") from None
+    _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
     errs, energy_errs = [0.0] * levels, [0.0] * levels
     for level in reversed(range(levels)):  # finest first: its mesh is checked before any level is solved
         g = Grid((1.0,), ((nodes - 1) * 2**level + 1,))
@@ -616,14 +603,13 @@ class ExitReport:
 
 
 def run(cfg: RunConfig, out_dir=None) -> ExitReport:
-    out = Path(out_dir if out_dir is not None else cfg.raw("out", "fracell_out"))
+    out = Path(out_dir if out_dir is not None else cfg.values.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = cfg.get_int("seed", 0, lo=0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.values.seed)
     try:
-        assertions, payload = _DISPATCH[cfg.command](cfg, out, rng)
+        assertions, payload = _DISPATCH[cfg.command](cfg.values, out, rng)
     except DenseMemoryError as exc:
-        raise ConfigError(f"key 'nodes': {exc}") from None
+        raise ConfigError(f"key {_MEMORY_KEY.get(cfg.command, 'nodes')!r}: {exc}") from None
     except QuadratureError as exc:  # the CLI builds rules only: one whose range over- or underflows at this s
         raise ConfigError(f"key 's': {exc}") from None
     passed = all(a["pass"] for a in assertions)

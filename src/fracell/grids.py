@@ -21,8 +21,6 @@ __all__ = [
     "DIRICHLET",
     "NEUMANN",
     "CoefficientField",
-    "EllipticityReport",
-    "ellipticity_check",
     "hs_seminorm",
 ]
 
@@ -300,28 +298,6 @@ def _eigen_range(faces: Sequence[np.ndarray]) -> tuple[float, float]:
         mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
         lo, hi = mid - rad, mid + rad
     return float(lo.min()), float(hi.max())
-
-
-_ELLIPTICITY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    lambda1_observed: float
-    lambda2_observed: float
-    lambda1_declared: float
-    lambda2_declared: float
-    passed: bool
-
-
-def ellipticity_check(A: CoefficientField) -> EllipticityReport:
-    """Report the sampled eigenvalue extremes against the declared
-    constants, to a relative 1e-12.  Report-only: positivity was checked
-    when the field was built."""
-    lo, hi = A.eigen_range
-    tol = _ELLIPTICITY_RTOL * max(1.0, abs(A.lambda2))
-    ok = lo >= A.lambda1 - tol and hi <= A.lambda2 + tol
-    return EllipticityReport(lo, hi, A.lambda1, A.lambda2, ok)
 
 
 def _node_points(grid: Grid) -> np.ndarray:

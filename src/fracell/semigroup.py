@@ -35,7 +35,6 @@ __all__ = [
     "KillingField",
     "QuadratureError",
     "heat_apply",
-    "heat_apply_stepped",
     "balakrishnan_scalar",
     "balakrishnan_apply",
     "heat_kernel",
@@ -219,32 +218,6 @@ def heat_apply(basis: EigenBasis, u: GridFunction, t: float) -> GridFunction:
     if t == 0.0:
         return GridFunction(u.grid, u.values.copy())
     return basis.apply_fn(lambda lam: np.exp(-t * lam), u)
-
-
-def heat_apply_stepped(
-    op: DiscreteOperator,
-    u: GridFunction,
-    t: float,
-    steps: int,
-    scheme: str = "trapezoidal",
-) -> GridFunction:
-    """Implicit time stepping for e^{-tL} u, eigen-free cross-check.
-
-    scheme "trapezoidal" (Crank-Nicolson, order 2: v -> R(v - (dt/2) L v),
-    R = (I + (dt/2) L)^{-1}) or "implicit" (backward Euler, order 1:
-    v -> (I + dt L)^{-1} v; positivity preserving for the M-matrix stencils,
-    hence maximum-principle safe).  One `_resolvent` factor serves every step.
-    """
-    if steps < 1:
-        raise ValueError("need steps >= 1")
-    if scheme not in ("trapezoidal", "implicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    L, vec = op.matrix, op.restrict(u)
-    h = t / steps if scheme == "implicit" else 0.5 * t / steps
-    solve = _resolvent(L, _upper_band(L), abs(L).sum(axis=1).max(), np.array([h]))
-    for _ in range(steps):
-        vec = solve((vec if scheme == "implicit" else vec - h * (L @ vec))[None])[0]
-    return op.embed(vec)
 
 
 def _upper_band(matrix: sp.csr_matrix) -> np.ndarray:

@@ -207,7 +207,7 @@ def _available_bytes() -> float:
 
 def _check_memory(floats: int, what: str) -> None:
     """Refuse, before allocating, `floats` float64 values that memory cannot hold."""
-    need, avail = 8.0 * floats, _available_bytes()
+    need, avail = 8.0 * min(floats, 1e307), _available_bytes()  # an int count past float range is refused too
     if need > avail:
         raise DenseMemoryError(f"{what} needs ~{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available")
 

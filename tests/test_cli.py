@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fracell.cli import COMMANDS, ConfigError, RunConfig, _KEYS, main, parse_config_file, run
+from fracell.cli import COMMANDS, ConfigError, RunConfig, _TABLES, main, parse_config_file, run
 
 
 def test_run_solve_writes_artifacts(tmp_path):
@@ -119,6 +120,46 @@ def test_every_key_is_read_before_the_heavy_work(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve", "--seed=-1"], "key 'seed': value -1 below minimum 0"),
+        (["solve", "--nodes=abc"], "key 'nodes': not a number: 'abc'"),
+        (["solve", "--dim=3"], "key 'dim': must be 1 or 2"),
+        (["kernel", "--write_kernel=maybe"], "key 'write_kernel': expected true/false, got 'maybe'"),
+        (["kernel", "--kind=heat"], "key 'kind': expected one of ('jump', 'greens'), got 'heat'"),
+        (["extension", "--dtn_tol=-1"], "key 'dtn_tol': value -1.0 outside [0.0, None]"),
+        (["extension", "--energy_tol=-1"], "key 'energy_tol': value -1.0 outside [0.0, None]"),
+        (["probe", "--probe=boundary", "--tol=-1"], "key 'tol': value -1.0 outside [0.0, None]"),
+        (["probe", "--probe=interior", "--r_max=0"], "key 'r_max': value 0.0 outside [1e-12, None]"),
+        (["probe", "--probe=boundary", "--d_max=-0.01"], "key 'd_max': value -0.01 outside [1e-12, None]"),
+        (["probe", "--probe=harnack", "--nodes=12"], "key 'nodes': value 12 below minimum 17"),
+        (["converge", "--levels=41"], "key 'levels': value 41.0 outside [None, 40]"),
+    ],
+)
+def test_a_bad_value_is_refused_before_the_output_directory_exists(tmp_path, capsys, args, message):
+    # every key is parsed when the RunConfig is built, before `run` makes the directory
+    out = tmp_path / "o"
+    assert main([*args, f"--out={out}"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_every_benchmark_cli_case_builds_its_config(monkeypatch):
+    # a table row that refuses a benchmark case fails here, not in the benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    built = 0
+    for seed in range(3):
+        for workload in workloads.WORKLOADS:
+            for case in workloads.cases(workload, seed):
+                if "command" in case.data:
+                    RunConfig(case.data["command"], dict(case.data["params"]))
+                    built += 1
+    assert built > 0
+
+
 def test_unknown_command_rejected():
     with pytest.raises(ConfigError):
         RunConfig("frobnicate", {})
@@ -189,6 +230,17 @@ def test_converge_memory_error_names_the_levels(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'levels':")
     assert "30 levels from 130 nodes and 64 layers" in err
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [(["solve", "--dim=2", "--nodes=1e300"], "nodes"), (["converge", "--layers=1e300", "--levels=40"], "levels")],
+    ids=["grid", "converge"],
+)
+def test_a_count_past_float_range_is_refused(tmp_path, capsys, args, key):
+    # 8 bytes times a count above ~2e307 is no float; the request is refused, not an OverflowError
+    assert main([*args, f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: key {key!r}:")
 
 
 def test_converge_budgets_y_nodes_only(tmp_path, monkeypatch):
@@ -395,6 +447,43 @@ def test_cylinder_past_available_memory_is_a_config_error(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize(
+    "args, floats",
+    [(["--nodes=1000000"], 24 * 10**6), (["--dim=2", "--nodes=700"], 36 * 700**2)],
+    ids=["1d", "2d"],
+)
+def test_grid_past_available_memory_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch, args, floats):
+    # memory for just less than the grid, its coefficient and operator: 24 floats per node in 1D, 36 in 2D
+    import fracell.cli as cli
+    from fracell import spectral
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before its nodes were counted")
+
+    monkeypatch.setattr(cli, "Grid", no_grid)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 0.99 * 8 * floats)
+    assert main(["solve", *args, f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nodes':") and "grid of" in err
+
+
+def test_extension_counts_its_y_nodes_before_the_mesh(tmp_path, capsys, monkeypatch):
+    # memory for just less than 4 floats per y-node of a 4e8-layer mesh; the 9-node base fits
+    import fracell.cli as cli
+    from fracell import spectral
+
+    class NoMesh:
+        @staticmethod
+        def build(*args, **kwargs):
+            raise AssertionError("a mesh was built before its y-nodes were counted")
+
+    monkeypatch.setattr(cli, "ExtensionMesh", NoMesh)
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 0.99 * 8 * 4 * (4 * 10**8 + 1))
+    assert main(["extension", "--nodes=9", "--layers=4e8", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'layers':") and "400000000-layer mesh" in err
+
+
+@pytest.mark.parametrize(
     "args, what",
     [(["--kind=jump", "--margin=0"], "pair distances")],
     ids=["jump"],
@@ -433,17 +522,7 @@ def test_greens_route_check_fits_next_to_one_kernel(tmp_path, capsys, monkeypatc
 # fuzzed overrides: every request ends with exit 0, 1 or 2, never a traceback
 # ---------------------------------------------------------------------------
 
-_FLOAT_KEYS = (
-    "s", "extent", "gamma", "T", "alpha", "p", "r_max", "tol", "d_max", "fit_rmin", "fit_rmax",
-    "margin", "slope_tol", "dtn_tol", "energy_tol",
-)
-_CHOICES = {
-    "bc": ("dirichlet", "neumann"),
-    "kind": ("jump", "greens"),
-    "probe": ("interior", "interior_lp", "boundary", "layer", "harnack"),
-    "u": ("phi1", "bump"),
-    "write_kernel": ("true", "false", "1", "0"),
-    "write_field": ("true", "false", "1", "0"),
+_SPECS = {
     "coeff": ("identity", "constant:2", "diag:1,2", "sine", "sine:0.3", "sine:0.99", "constant:1e-300"),
     "rhs": ("ones", "sine", "sine:3", "bump", "random", "spike", "spike:1.5"),
 }
@@ -457,12 +536,26 @@ def _floats():
     return tiny | st.floats(-2.0, 1e3, allow_nan=False).map(repr)
 
 
+def _values(key, kind):
+    # valid-looking values of a table row's kind; specs from the samples above
+    near = st.floats(-2.0, 2.0, allow_nan=False).map(repr)
+    if kind is bool:
+        return st.sampled_from(("true", "false", "1", "0")) | near
+    if kind is float:
+        return _floats()
+    if kind is int:
+        return st.integers(-3, _INT_CAPS.get(key, 8)).map(str)
+    if kind is str:
+        return st.sampled_from(_SPECS.get(key, _MALFORMED))
+    return st.sampled_from(kind).map(str) | near
+
+
 @st.composite
 def _request(draw):
     # a command and overrides of the keys it reads
     command = draw(st.sampled_from(COMMANDS))
-    known = sorted(_KEYS[command] - {"out"})
-    keys = draw(st.lists(st.sampled_from(known), max_size=6, unique=True))
+    kinds = {key: kind for key, kind, *_ in _TABLES[command] if key != "out"}
+    keys = draw(st.lists(st.sampled_from(sorted(kinds)), max_size=6, unique=True))
     dim = draw(st.sampled_from(("1", "2", "0", "3"))) if "dim" in keys else "1"
     params = {}
     for key in keys:
@@ -470,12 +563,8 @@ def _request(draw):
             numeric = st.just(dim)
         elif key == "nodes":
             numeric = st.integers(-2, 24 if dim == "2" else 1025).map(str)
-        elif key in _INT_CAPS:
-            numeric = st.integers(-3, _INT_CAPS[key]).map(str)
-        elif key in _CHOICES:
-            numeric = st.sampled_from(_CHOICES[key]) | st.floats(-2.0, 2.0, allow_nan=False).map(repr)
         else:
-            numeric = _floats()
+            numeric = _values(key, kinds[key])
         params[key] = draw(numeric | st.sampled_from(_MALFORMED) | st.sampled_from(_NONFINITE))
     return command, params
 

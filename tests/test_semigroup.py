@@ -17,7 +17,6 @@ from fracell import (
     greens_function,
     greens_function_quadrature,
     heat_apply,
-    heat_apply_stepped,
     heat_kernel,
     jump_kernel,
     killing_term,
@@ -120,65 +119,6 @@ def test_heat_semigroup_law(basis_dirichlet, op_dirichlet, rng):
 def test_heat_apply_rejects_negative_time(basis_dirichlet):
     with pytest.raises(ValueError):
         heat_apply(basis_dirichlet, basis_dirichlet.eigenfunction(0), -0.1)
-
-
-def test_stepped_march_converges_at_order_two(basis_dirichlet, op_dirichlet):
-    # smooth data keeps dt*lambda small enough for the asymptotic regime
-    u = basis_dirichlet.eigenfunction(0) + 0.5 * basis_dirichlet.eigenfunction(3)
-    t = 0.01
-    exact = heat_apply(basis_dirichlet, u, t)
-    errs = []
-    for steps in (8, 16, 32):
-        approx = heat_apply_stepped(op_dirichlet, u, t, steps, "trapezoidal")
-        errs.append(l2_norm(approx - exact) / l2_norm(exact))
-    slopes = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
-    assert slopes.min() >= 1.85
-    assert slopes.max() <= 2.15
-
-
-def test_stepped_march_maximum_principle(op_dirichlet, grid_1d):
-    ones = GridFunction.ones(grid_1d)
-    out = heat_apply_stepped(op_dirichlet, ones, 0.05, 20, "implicit")
-    assert out.values.min() >= -1e-12
-    assert out.values.max() <= 1.0 + 1e-12
-
-
-def test_stepped_march_neumann_preserves_constants(op_neumann, grid_1d):
-    ones = GridFunction.ones(grid_1d)
-    out = heat_apply_stepped(op_neumann, ones, 0.4, 7, "trapezoidal")
-    assert np.abs(out.values - 1.0).max() <= 1e-10
-
-
-def test_stepped_march_on_a_cross_term_field_uses_no_superlu(monkeypatch):
-    # every step is a back-solve with one banded Cholesky factor (a 9-point
-    # stencil: band about nx); both schemes keep their order against the
-    # spectral semigroup
-    import scipy.sparse.linalg
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("stepped march called SuperLU")
-
-    for name in ("splu", "factorized", "spsolve"):
-        monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
-    g = Grid((1.0, 1.0), (24, 24))
-    op = assemble(g, _rotated(g), DIRICHLET)
-    basis = eigendecompose(op)
-    u = basis.eigenfunction(0) + 0.5 * basis.eigenfunction(3)
-    exact = heat_apply(basis, u, 0.01)
-    for scheme, order, tol in (("trapezoidal", 2, 2e-6), ("implicit", 1, 1e-3)):
-        errs = [l2_norm(heat_apply_stepped(op, u, 0.01, n, scheme) - exact) / l2_norm(exact) for n in (8, 16, 32)]
-        assert errs[-1] <= tol
-        assert np.allclose(np.log2(np.asarray(errs[:-1]) / errs[1:]), order, atol=0.15)
-
-
-@pytest.mark.parametrize("scheme", ["trapezoidal", "implicit"])
-def test_stepped_march_gates_backward_error(op_variable, rng, monkeypatch, scheme):
-    import fracell.semigroup as semigroup
-
-    exact = semigroup.dpbtrs
-    monkeypatch.setattr(semigroup, "dpbtrs", lambda c, b: (exact(c, b)[0] * (1.0 + 1e-9), 0))
-    with pytest.raises(QuadratureError, match="backward error"):
-        heat_apply_stepped(op_variable, random_dirichlet_field(op_variable, rng), 0.01, 4, scheme)
 
 
 def test_balakrishnan_apply_matches_spectral(basis_dirichlet, op_dirichlet, rng, quad_half):
