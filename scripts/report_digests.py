@@ -13,8 +13,14 @@ the workload of the last case).  Two trees write the same bytes when
     python3 scripts/report_digests.py --seed 0 > b.txt   # in tree B
     diff a.txt b.txt
 
-prints nothing.  A full run peaks at about 99 MiB of resident memory
-(2-core VM, 1 BLAS thread).
+prints nothing, and so does
+
+    python3 scripts/report_digests.py --seed 0 --against a.txt   # in tree B
+
+which prints, instead of every line, `- old` and `+ new` for each line that
+differs from the saved run (a file that only one run wrote gets one of the
+two) and exits 1 if any does.  A full run peaks at about 99 MiB of resident
+memory (2-core VM, 1 BLAS thread).
 """
 
 import argparse
@@ -32,7 +38,12 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    seed = parser.parse_args().seed
+    parser.add_argument("--against", type=Path, help="a saved run: print only the lines that differ, exit 1 if any")
+    args = parser.parse_args()
+    seed, saved = args.seed, None
+    if args.against is not None:
+        saved = {line.split("  ", 1)[1]: line for line in args.against.read_text().splitlines() if line}
+    differ = False
     runs = [(workload, case) for workload in workloads.WORKLOADS for case in workloads.cases(workload, seed)]
     runs.append(("field", workloads.cli_case("extension", nodes=65, layers=32, write_field="true")))
     with tempfile.TemporaryDirectory() as tmp:
@@ -42,9 +53,21 @@ def main() -> int:
             out = Path(tmp, workload, workloads._slug(case.name))
             case.fn(case.data, out)
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {workload}/{case.name}/{path.relative_to(out)}", flush=True)
-    return 0
+                name = f"{workload}/{case.name}/{path.relative_to(out)}"
+                line = f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}"
+                if saved is None:
+                    print(line, flush=True)
+                    continue
+                old = saved.pop(name, None)
+                if old != line:
+                    differ = True
+                    if old is not None:
+                        print(f"- {old}")
+                    print(f"+ {line}", flush=True)
+    for line in (saved or {}).values():  # written in the saved run only
+        differ = True
+        print(f"- {line}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

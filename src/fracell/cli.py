@@ -496,6 +496,8 @@ def _cmd_halfline(v, out: Path, rng) -> tuple[list, dict]:
 
 def _cmd_probe(v, out: Path, rng) -> tuple[list, dict]:
     which, s, alpha, tol = v.probe, v.s, v.alpha, v.tol
+    # a sine-transform probe peaks at ~6 floats per node (tracemalloc at 2^15 + 1 and 2^17 + 1)
+    _check_memory(8 * v.nodes, f"a 1D grid of {v.nodes} nodes and its sine solves")
     grid = Grid((1.0,), (v.nodes,))
     h = grid.spacing[0]
     report = {"probe": which, "s": s}
@@ -557,6 +559,9 @@ def _dirichlet_line_ends(grid: Grid) -> tuple[float, float]:
 
 def _cmd_converge(v, out: Path, rng) -> tuple[list, dict]:
     s, nodes, layers, levels = v.s, v.nodes, v.layers, v.levels
+    finest = (nodes - 1) * 2 ** (levels - 1) + 1  # no level allocates its grid, but it must index it
+    if finest > 2**53:  # past it, node indices are no longer exact doubles
+        raise ConfigError(f"key 'nodes': the finest of {levels} levels has {finest:.3g} nodes, above 2^53")
     # 24 floats per y-node of the finest mesh (its build and y-system); no operator is built
     _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
     errs, energy_errs = [0.0] * levels, [0.0] * levels

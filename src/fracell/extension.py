@@ -59,6 +59,9 @@ class ExtensionError(ValueError):
     """Extension-problem contract violation."""
 
 
+_FLUSH_BELOW = float(np.finfo(float).tiny)  # `_y_solve` zeroes subnormal solution entries
+
+
 def dtn_constant_intro(s: float) -> float:
     """|Gamma(-s)| / (4^s Gamma(s)) - the incremental-quotient normalization."""
     return abs(gamma_fn(-s)) / (4.0**s * gamma_fn(s))
@@ -246,7 +249,9 @@ def _vertical_stiffness(mesh: ExtensionMesh, vol: float) -> sp.csr_matrix:
 def _y_solve(mesh: ExtensionMesh, lam: np.ndarray, rhs: np.ndarray, first: int) -> np.ndarray:
     """Solve (lam_k D + T) x_k = rhs[k] on the rows first..M-1 for all base modes k (lam_k =
     h^dim lambda_k, D the node weights) as the blocks, coupled by exact zeros, of one tridiagonal
-    in `solveh_banded`'s upper layout: one LAPACK `ptsv` call, which overwrites rhs."""
+    in `solveh_banded`'s upper layout: one LAPACK `ptsv` call, which overwrites rhs.  Entries
+    of x below the smallest normal double (high modes far up the cylinder) are flushed to
+    zero: a BLAS basis transform of subnormal operands takes a slow path."""
     M, vol = mesh.layers, mesh.base.cell_volume
     diag, off = _tridiagonal(mesh.face_kappa(), False)  # T / vol
     band = np.zeros((2, lam.size, M - first))
@@ -254,6 +259,7 @@ def _y_solve(mesh: ExtensionMesh, lam: np.ndarray, rhs: np.ndarray, first: int) 
     np.multiply(lam[:, None], mesh.node_weights()[first:M], out=band[1])
     band[1] += diag[first:M] * vol
     x = sla.solveh_banded(band.reshape(2, -1), rhs.reshape(-1), overwrite_ab=True, overwrite_b=True)
+    x[np.abs(x) < _FLUSH_BELOW] = 0.0
     return x.reshape(rhs.shape)
 
 

@@ -59,8 +59,10 @@ class EigenBasis:
 
     Active nodes form an (nx, ny) array (C order).  Eigenpair (j, k) has the
     vector X[j][:, k] (x) Q[:, j] / sqrt(weight), with Q (ny x ny) and each
-    X[j] (nx x nx) l2-orthonormal; `order` lists the flat indices j*nx + k
-    by ascending eigenvalue.  A dense basis is the case ny = 1, Q = [[1]].
+    X[j] (nx x nx) l2-orthonormal, column-contiguous; `order` lists the flat
+    indices j*nx + k by ascending eigenvalue.  Blocks that share closed-form
+    eigenvectors are one read-only broadcast view.  A dense basis is the case
+    ny = 1, Q = [[1]].
     """
 
     grid: Grid
@@ -234,17 +236,24 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     factors = _kronecker_factors(op)
     if factors is not None:
         d, e, b, dy, ey = factors
-        _check_memory((2 * dy.size + 1) * d.size**2, f"{dy.size} x {d.size} x {d.size} block eigenvectors")
+        nx, ny = d.size, dy.size
+        what = f"{ny} x {nx} x {nx} block eigenvectors"
+
+        def need(blocks):  # Q, the stored X blocks and the larger of their build's copy and the certificate's chunks
+            return ny**2 + blocks * nx**2 + max((blocks + 1) * nx**2, 2 * ny * min(nx, 256) * nx)
+
+        _check_memory(need(1), what)
         mu, Q = _line_eigenpairs(dy, ey, op.bc.is_dirichlet)  # T_y has one weight, 1/hy^2 (1D: [0])
         line = _line_eigenpairs(d, e, op.bc.is_dirichlet) if np.all(b == b[0]) else None
-        if line is not None:  # every block T_x + mu_j b0 I shares T_x's eigenvectors
-            lam, X = line[0] + mu[:, None] * b[0], line[1][None]
-            X = X if mu.size == 1 else np.repeat(X, mu.size, axis=0)
-        elif dy.size == 1:  # one y-mode: scipy's batching would copy X
-            lam, X = sla.eigh_tridiagonal(d + mu[0] * b, e)
-            lam, X = lam[None], X[None]
+        if line is not None:  # every block T_x + mu_j b0 I shares T_x's eigenvectors: one read-only view
+            lam, X = line[0] + mu[:, None] * b[0], np.broadcast_to(line[1], (ny, nx, nx))
         else:
-            lam, X = sla.eigh_tridiagonal(d + mu[:, None] * b, np.broadcast_to(e, (mu.size, e.size)))
+            _check_memory(need(ny), what)
+            if ny == 1:  # one y-mode: scipy's batching would copy X
+                lam, X = sla.eigh_tridiagonal(d + mu[0] * b, e)
+                lam, X = lam[None], X[None]
+            else:
+                lam, X = sla.eigh_tridiagonal(d + mu[:, None] * b, np.broadcast_to(e, (mu.size, e.size)))
         order = np.argsort(lam, axis=None, kind="stable")
         lam = lam.ravel()[order]
     else:
@@ -269,6 +278,7 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     # sign convention: ground state nonnegative
     j, k = divmod(int(order[0]), X.shape[1])
     if X[j, :, k].sum() * Q[:, j].sum() < 0:
+        assert X.flags.writeable, "a closed-form ground state is positive"
         X[j, :, k] *= -1.0
 
     basis = EigenBasis(op.grid, op.bc, op.grid.active_mask(op.bc), lam, Q, X, order, w)
@@ -285,7 +295,8 @@ def _line_eigenpairs(d: np.ndarray, e: np.ndarray, dirichlet: bool):
     lam_k = 4w sin^2(k pi / (2(n+1))), V[j, k] ~ sin(j k pi / (n+1)), j, k = 1..n; Neumann:
     lam_k = 4w sin^2(k pi / (2n)), V[j, k] ~ cos((2j+1) k pi / (2n)), j, k = 0..n-1 (DCT-II).
     Each entry is read from one period of sin(2 pi p / m) at its integer phase p reduced
-    mod m, so no sine sees an argument past 2 pi."""
+    mod m, so no sine sees an argument past 2 pi.  V is in Fortran order, each eigenvector
+    contiguous, as `eigh_tridiagonal` returns it."""
     n = d.size
     w = d[0] / 2 if dirichlet else d[0]  # a Neumann end node has one face
     wd, we = _tridiagonal(np.full(n + 1 if dirichlet else n - 1, w), dirichlet)
@@ -296,11 +307,11 @@ def _line_eigenpairs(d: np.ndarray, e: np.ndarray, dirichlet: bool):
         phase, half_angle = np.multiply.outer(k, k), k * np.pi / (2 * (n + 1))
     else:  # cos(x) = sin(x + 2 pi (m/4) / m)
         k, m, scale = np.arange(n), 4 * n, math.sqrt(2 / n)
-        phase, half_angle = np.multiply.outer(2 * k + 1, k) + n, k * np.pi / (2 * n)
-    V = (scale * np.sin(2 * np.pi / m * np.arange(m)))[np.remainder(phase, m, out=phase)]
+        phase, half_angle = np.multiply.outer(k, 2 * k + 1) + n, k * np.pi / (2 * n)
+    VT = (scale * np.sin(2 * np.pi / m * np.arange(m)))[np.remainder(phase, m, out=phase)]  # [k, j]
     if not dirichlet:
-        V[:, 0] = 1 / math.sqrt(n)
-    return 4 * w * np.sin(half_angle) ** 2, V
+        VT[0] = 1 / math.sqrt(n)
+    return 4 * w * np.sin(half_angle) ** 2, VT.T
 
 
 def _factor_residual(basis: EigenBasis, op: DiscreteOperator, factors) -> float:
@@ -336,7 +347,7 @@ def _factor_residual(basis: EigenBasis, op: DiscreteOperator, factors) -> float:
     shift, lam = (d + mu[:, None] * b)[:, None, :], basis._blocks(basis.eigenvalues)[..., None]
     worst = 0.0
     for c in range(0, nx, 256):
-        X = basis.X[:, :, c : c + 256].transpose(0, 2, 1)  # [j, k, x], C order: eigenvectors are columns
+        X = basis.X[:, :, c : c + 256].transpose(0, 2, 1)  # [j, k, x]: each X[j] is in Fortran order
         R = shift - lam[:, c : c + 256]
         R *= X
         r = R.reshape(-1)  # a view of the C-order R: the off-diagonal by flat shifts, pe and ep 0 where a line ends

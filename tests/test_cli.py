@@ -243,6 +243,41 @@ def test_a_count_past_float_range_is_refused(tmp_path, capsys, args, key):
     assert capsys.readouterr().err.startswith(f"config error: key {key!r}:")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["probe", "--probe=interior", "--nodes=1e300"],
+        ["probe", "--probe=boundary", "--nodes=1e12"],
+        ["probe", "--probe=harnack", "--nodes=1e12"],
+        ["converge", "--nodes=1e300"],
+        ["converge", "--nodes=1e15", "--levels=5"],
+    ],
+    ids=["interior", "boundary", "harnack", "converge", "converge-finest"],
+)
+def test_probe_and_converge_grids_past_range_are_refused_before_they_are_built(tmp_path, capsys, monkeypatch, args):
+    # a probe counts ~8 floats per node, and converge's finest grid must index in exact doubles (2^53)
+    import fracell.cli as cli
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built before its nodes were counted")
+
+    monkeypatch.setattr(cli, "Grid", no_grid)
+    assert main([*args, f"--out={tmp_path}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: key 'nodes':")
+
+
+def test_probe_counts_its_grid_against_available_memory(tmp_path, capsys, monkeypatch):
+    # memory for just less than 8 floats per node of a 10^6-node probe
+    import fracell.cli as cli
+    from fracell import spectral
+
+    monkeypatch.setattr(cli, "Grid", lambda *a, **k: pytest.fail("a grid was built before its nodes were counted"))
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 0.99 * 8 * 8 * 10**6)
+    assert main(["probe", "--probe=interior", "--nodes=1000000", f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nodes':") and "1D grid of 1000000 nodes" in err
+
+
 def test_converge_budgets_y_nodes_only(tmp_path, monkeypatch):
     # no operator is built, so a 100,001-node base (400,001 at the finest level)
     # runs in memory for the 65 y-nodes of its finest mesh

@@ -607,6 +607,61 @@ def test_one_call_cylinder_solve_equals_the_per_mode_loop(shape, bc):
     assert np.array_equal(forced, _per_mode_cylinder(op, mesh, None, load, basis))
 
 
+def _subnormal(x):
+    return (x != 0) & (np.abs(x) < np.finfo(float).tiny)
+
+
+def test_y_solve_returns_no_subnormal_entry(monkeypatch):
+    # a flux of 1e-300 at y = 0 decays into the subnormal range up the cylinder,
+    # and some right-hand sides are subnormal themselves
+    from fracell import extension
+
+    g = Grid((1.0,), (33,))
+    mesh = ExtensionMesh.build(g, 0.5, 16, height=3.0)
+    lam = g.cell_volume * np.linspace(10.0, 4e3, 31)
+    rhs = np.zeros((lam.size, mesh.layers))
+    rhs[:, 0] = 1e-300
+    rhs[::2, 5::3] = 3e-310
+    x = extension._y_solve(mesh, lam, rhs.copy(), 0)
+    monkeypatch.setattr(extension, "_FLUSH_BELOW", 0.0)
+    ref = extension._y_solve(mesh, lam, rhs.copy(), 0)
+    assert _subnormal(ref).sum() > 100 and not _subnormal(x).any()
+    assert np.array_equal(x, np.where(_subnormal(ref), 0.0, ref))
+    dense = lam[0] * np.diag(mesh.node_weights()[:-1]) + _vertical_stiffness(mesh, g.cell_volume)[:-1, :-1].toarray()
+    assert np.allclose(1e300 * x[0], np.linalg.solve(dense, 1e300 * rhs[0]), rtol=1e-10, atol=1e-7)
+
+
+@pytest.mark.parametrize("coeff", ["identity", "sine"])
+def test_flushing_subnormals_leaves_the_forced_field_bit_for_bit(coeff, monkeypatch):
+    # the benchmark's forced case: 513 x 256 at s = 0.5, four base modes; its
+    # mode-space y-solve has subnormal entries at high modes far up the cylinder
+    from fracell import extension
+
+    if coeff == "identity":
+        g = Grid((1.0,), (513,))
+        op = assemble(g, CoefficientField.identity(g), DIRICHLET)
+    else:
+        g, op = _sine_base((513,))
+    basis = eigendecompose(op)
+    coeffs = np.zeros(basis.size)
+    coeffs[:4] = [1.0, 0.3, -0.2, 0.1]
+    mesh = ExtensionMesh.build(g, 0.5, 256, lam0=basis.lambda_min_positive)
+    forcing = ForcingData(None, basis.synthesize(coeffs))
+    flushed = solve_extension_forced(op, mesh, forcing, basis).values
+
+    solved, exact = [], extension._y_solve
+
+    def recorded(*args):
+        solved.append(exact(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(extension, "_FLUSH_BELOW", 0.0)  # the unflushed reference
+    monkeypatch.setattr(extension, "_y_solve", recorded)
+    reference = solve_extension_forced(op, mesh, forcing, basis).values
+    assert _subnormal(solved[0]).sum() > 1000
+    assert np.array_equal(flushed, reference)
+
+
 def test_basis_of_another_operator_fails_the_backward_error_gate():
     g, op = _sine_base((33,))
     other = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))

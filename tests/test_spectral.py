@@ -476,6 +476,51 @@ def test_line_eigenpairs_match_eigh_tridiagonal(dirichlet, n):
         assert spectral._line_eigenpairs(*_tridiagonal(kinked, dirichlet), dirichlet) is None
 
 
+@pytest.mark.parametrize("dirichlet", [True, False], ids=["dirichlet", "neumann"])
+def test_line_eigenvectors_are_the_c_order_table_bit_for_bit(dirichlet):
+    # the table gathered at the phases (j, k) in C order, as it was built before
+    # the transposed gather: the same values, now each eigenvector contiguous
+    from fracell.operators import _tridiagonal
+
+    n = 65
+    d, e = _tridiagonal(np.full(n + 1 if dirichlet else n - 1, 3.7), dirichlet)
+    if dirichlet:
+        k, m, scale = np.arange(1, n + 1), 2 * (n + 1), np.sqrt(2 / (n + 1))
+        phase = np.multiply.outer(k, k)
+    else:
+        k, m, scale = np.arange(n), 4 * n, np.sqrt(2 / n)
+        phase = np.multiply.outer(2 * k + 1, k) + n
+    old = (scale * np.sin(2 * np.pi / m * np.arange(m)))[phase % m]
+    if not dirichlet:
+        old[:, 0] = 1 / np.sqrt(n)
+    V = spectral._line_eigenpairs(d, e, dirichlet)[1]
+    assert V.flags.f_contiguous and np.array_equal(V, old)
+
+
+@pytest.mark.parametrize("coeff", ["identity", "sine"])
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("shape", [(65,), (13, 13), (17, 11)], ids=str)
+def test_factored_blocks_are_column_contiguous(shape, bc, coeff):
+    # closed form (identity) and eigh_tridiagonal (sine) alike; a closed-form X
+    # shared by every y-mode is stored once, as a read-only view
+    basis = _certified(shape, bc, coeff)[2]
+    assert all(block.flags.f_contiguous for block in basis.X)
+    shared = coeff == "identity"
+    assert basis.X.flags.writeable == (not shared)
+    if shared:  # one block in memory, with the ground state the sign rule never flips
+        assert basis.X.strides[0] == 0 and np.all(basis.X[0][:, 0] > 0) and np.all(basis.Q[:, 0] > 0)
+
+
+def test_a_shared_closed_form_x_is_counted_once(monkeypatch):
+    # 64^2 Dirichlet, 62 x 62 blocks: the certificate's chunks 2 * 62^3 floats plus Q and
+    # one X fit in 600,000 floats; 62 stored blocks (eigh_tridiagonal, sine) do not
+    g = Grid((1.0, 1.0), (64, 64))
+    monkeypatch.setattr(spectral, "_available_bytes", lambda: 8 * 600_000)
+    eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    with pytest.raises(DenseMemoryError, match="62 x 62 x 62 block eigenvectors"):
+        eigendecompose(assemble(g, _coefficient(g, "sine"), DIRICHLET))
+
+
 _ONE_WEIGHT_SPECS = {1: ["identity", "constant:2", "diag:3"], 2: ["identity", "constant:2", "diag:1,3"]}
 
 
