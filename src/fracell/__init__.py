@@ -30,7 +30,6 @@ from .spectral import (
 )
 from .semigroup import (
     SingularQuadrature,
-    balakrishnan_scalar,
     balakrishnan_apply,
     heat_apply,
     heat_kernel,
@@ -38,7 +37,6 @@ from .semigroup import (
     killing_term,
     nonlocal_bilinear_form,
     greens_function,
-    greens_function_quadrature,
     poisson_kernel,
 )
 from .extension import (
@@ -75,7 +73,6 @@ __all__ = [
     "hs_energy_norm",
     "scaling_check",
     "SingularQuadrature",
-    "balakrishnan_scalar",
     "balakrishnan_apply",
     "heat_apply",
     "heat_kernel",
@@ -83,7 +80,6 @@ __all__ = [
     "killing_term",
     "nonlocal_bilinear_form",
     "greens_function",
-    "greens_function_quadrature",
     "poisson_kernel",
     "ExtensionMesh",
     "ExtensionField",

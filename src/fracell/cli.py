@@ -34,6 +34,7 @@ from .operators import assemble
 from .spectral import (
     CompatibilityError,
     DenseMemoryError,
+    _brief,
     _check_memory,
     eigendecompose,
     fractional_apply,
@@ -61,6 +62,7 @@ from .halfspace import (
     HalfLineProblem,
     RHS_INDICATOR,
     RHS_ONE,
+    boundary_growth_exponent,
     closed_form_halfline,
     halfline_inverse_quadrature,
     interior_log_constant,
@@ -280,7 +282,7 @@ def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, rng) -> GridFunc
 
 def _build_problem(v):
     # ~24 floats per node in 1D, ~36 in 2D (tracemalloc at 10^6 and 700^2 nodes)
-    _check_memory((12 + 12 * v.dim) * v.nodes**v.dim, f"a {v.dim}D grid of {v.nodes**v.dim} nodes and its operator")
+    _check_memory((12 + 12 * v.dim) * v.nodes**v.dim, f"a {v.dim}D grid of {_brief(v.nodes**v.dim)} nodes and its operator")
     grid = Grid((v.extent,) * v.dim, (v.nodes,) * v.dim)
     bc = BoundaryCondition(v.bc)
     try:
@@ -408,7 +410,7 @@ def _extension_mesh(grid, lam0, lam_max, s, layers, gamma=None) -> ExtensionMesh
     memory (4 floats each) are one on 'layers'."""
     key = "s" if gamma is None else "gamma"
     try:
-        _check_memory(4 * (layers + 1), f"a {layers}-layer mesh")
+        _check_memory(4 * (layers + 1), f"a {_brief(layers)}-layer mesh")
         mesh = ExtensionMesh.build(grid, s, layers, gamma_mesh=gamma, lam0=lam0)
     except DenseMemoryError as exc:
         raise ConfigError(f"key 'layers': {exc}") from None
@@ -497,7 +499,7 @@ def _cmd_halfline(v, out: Path, rng) -> tuple[list, dict]:
 def _cmd_probe(v, out: Path, rng) -> tuple[list, dict]:
     which, s, alpha, tol = v.probe, v.s, v.alpha, v.tol
     # a sine-transform probe peaks at ~6 floats per node (tracemalloc at 2^15 + 1 and 2^17 + 1)
-    _check_memory(8 * v.nodes, f"a 1D grid of {v.nodes} nodes and its sine solves")
+    _check_memory(8 * v.nodes, f"a 1D grid of {_brief(v.nodes)} nodes and its sine solves")
     grid = Grid((1.0,), (v.nodes,))
     h = grid.spacing[0]
     report = {"probe": which, "s": s}
@@ -523,13 +525,13 @@ def _cmd_probe(v, out: Path, rng) -> tuple[list, dict]:
         u = fractional_solve_sine(grid, GridFunction.ones(grid), s)
         with _fit_needs_nodes():
             fit = boundary_exponent(u, (0.0,), d_min=30 * h, d_max=v.d_max)
-        target = min(2 * s, 1.0)
+        target = boundary_growth_exponent(s)
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
         report.update({"x0": [0.0], "fit": asdict(fit), "target": target, "tolerance": tol})
     elif which == "layer":
         f = GridFunction.ones(grid)
         u = fractional_solve_sine(grid, f, s)
-        growth = min(2 * s, 1.0)
+        growth = boundary_growth_exponent(s)
         with _fit_needs_nodes():
             fit_u = boundary_exponent(u, (0.0,), 30 * h, 0.01)
             split = dirichlet_layer_split(u, f, s, lambda d: d**growth, (0.0,), (30 * h, 0.005))
@@ -563,7 +565,7 @@ def _cmd_converge(v, out: Path, rng) -> tuple[list, dict]:
     if finest > 2**53:  # past it, node indices are no longer exact doubles
         raise ConfigError(f"key 'nodes': the finest of {levels} levels has {finest:.3g} nodes, above 2^53")
     # 24 floats per y-node of the finest mesh (its build and y-system); no operator is built
-    _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {nodes} nodes and {layers} layers")
+    _check_memory(24 * (layers * 2 ** (levels - 1) + 1), f"{levels} levels from {_brief(nodes)} nodes and {_brief(layers)} layers")
     errs, energy_errs = [0.0] * levels, [0.0] * levels
     for level in reversed(range(levels)):  # finest first: its mesh is checked before any level is solved
         g = Grid((1.0,), ((nodes - 1) * 2**level + 1,))

@@ -42,7 +42,6 @@ __all__ = [
     "interior_log_constant",
     "reduction_1d_check",
     "boundary_growth_exponent",
-    "boundary_growth_law",
 ]
 
 RHS_ONE = "one"
@@ -257,15 +256,6 @@ def boundary_growth_exponent(s: float) -> float:
     if not 0.0 < s < 1.0:
         raise HalfSpaceError(f"s={s} outside (0,1)")
     return min(2.0 * s, 1.0)
-
-
-def boundary_growth_law(s: float) -> dict:
-    """Growth exponent with the s = 1/2 logarithmic correction flagged."""
-    return {
-        "s": s,
-        "exponent": boundary_growth_exponent(s),
-        "log_correction": s == 0.5,
-    }
 
 
 # ---------------------------------------------------------------------------

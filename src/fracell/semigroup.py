@@ -35,14 +35,12 @@ __all__ = [
     "KillingField",
     "QuadratureError",
     "heat_apply",
-    "balakrishnan_scalar",
     "balakrishnan_apply",
     "heat_kernel",
     "jump_kernel",
     "killing_term",
     "nonlocal_bilinear_form",
     "greens_function",
-    "greens_function_quadrature",
     "greens_route_agreement",
     "poisson_kernel",
     "KernelFit",
@@ -158,34 +156,10 @@ class SingularQuadrature:
         vals = g(self.nodes)
         return np.tensordot(self.weights, vals, axes=(0, 0))
 
-    def calibration_report(self, s: float, lams: np.ndarray) -> dict:
-        """Max relative residual |quad - lam^s| / lam^s over the given lambdas."""
-        lams = np.asarray(lams, dtype=float)
-        lams = lams[lams > 0]
-        res = np.array([abs(balakrishnan_scalar(l, s, self) - l**s) / l**s for l in lams])
-        return {
-            "s": s,
-            "max_residual": float(res.max()),
-            "at_lambda": float(lams[res.argmax()]),
-            "nodes": int(self.size),
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-        }
-
 
 def _check_exponent(q: SingularQuadrature, s: float) -> None:
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
-
-
-def balakrishnan_scalar(lam: float, s: float, q: SingularQuadrature) -> float:
-    """lambda^s by the Gamma-function representation
-    lambda^s = (1/Gamma(-s)) int_0^inf (e^{-t lambda} - 1) dt/t^{1+s}."""
-    if lam <= 0:
-        raise QuadratureError("balakrishnan_scalar needs lambda > 0")
-    _check_exponent(q, s)
-    val = float(q.integrate(lambda t: np.expm1(-lam * t)))
-    return val / gamma_fn(-s)
 
 
 def _mode_balakrishnan(lams: np.ndarray, s: float, q: SingularQuadrature) -> np.ndarray:
@@ -326,8 +300,7 @@ def _pairs(pts: np.ndarray, idx: np.ndarray, held: int) -> tuple[np.ndarray, np.
 class KernelMatrix:
     """Symmetric kernel density on active-node pairs.
 
-    kind: "heat" | "jump" | "greens" | "poisson" (+ "_quadrature" suffix for
-    the cross-check route of the Green function).  params records (s, t, y).
+    kind: "heat" | "jump" | "jump_neumann" | "greens" | "poisson"; params records (s, t, y).
     """
 
     basis: EigenBasis
@@ -432,10 +405,7 @@ def killing_term(basis: EigenBasis, s: float, q: SingularQuadrature) -> KillingF
     the discrete level.  Vanishes identically under Neumann conditions,
     where the semigroup preserves constants.
     """
-    _check_exponent(q, s)
-    ones = GridFunction.ones(basis.grid)
-    B = basis.apply_fn(lambda lam: _mode_balakrishnan(lam, s, q), ones)
-    return KillingField(basis, s, B)
+    return KillingField(basis, s, balakrishnan_apply(basis, GridFunction.ones(basis.grid), s, q))
 
 
 def nonlocal_bilinear_form(
@@ -484,17 +454,9 @@ def _mode_greens_quadrature(basis: EigenBasis, s: float):
     return lambda lam: q.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)
 
 
-def greens_function_quadrature(basis: EigenBasis, s: float) -> KernelMatrix:
-    """Green function by the semigroup route
-    (1/Gamma(s)) int W_t dt/t^{1-s}; cross-check of the series."""
-    G = basis.kernel(_mode_greens_quadrature(basis, s))
-    return KernelMatrix(basis, "greens_quadrature", G, {"s": s})
-
-
 def greens_route_agreement(G: KernelMatrix) -> float:
-    """max |G - Gq| / max |G| of the series kernel G against Gq =
-    `greens_function_quadrature`, whose rows are compared block by block
-    as they are built: Gq is never held whole."""
+    """max |G - Gq| / max |G| of the series kernel G against Gq, the semigroup route (1/Gamma(s)) int W_t dt/t^{1-s},
+    whose rows are compared block by block as they are built: Gq is never held whole."""
     rows = G.basis.kernel_rows(_mode_greens_quadrature(G.basis, G.params["s"]))
     return max(float(np.abs(G.entries[i : i + len(R)] - R).max()) for i, R in rows) / G.max_abs()
 

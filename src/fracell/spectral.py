@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .grids import Grid, GridFunction, BoundaryCondition, l2_norm
+from .grids import Grid, GridFunction, BoundaryCondition
 from .operators import DiscreteOperator, _kronecker_factors, _tridiagonal
 
 __all__ = [
     "EigenBasis",
-    "SpectralCoefficients",
     "SpectralError",
     "CompatibilityError",
     "DenseMemoryError",
@@ -179,25 +178,6 @@ class EigenBasis:
         return float(max(within, across))
 
 
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Eigen-coefficients of a field, with its L2 norm for Parseval checks."""
-
-    basis: EigenBasis
-    coeffs: np.ndarray
-    l2_norm: float
-
-    @classmethod
-    def of(cls, basis: EigenBasis, u: GridFunction) -> "SpectralCoefficients":
-        return cls(basis, basis.coefficients(u), l2_norm(u))
-
-    def parseval_defect(self) -> float:
-        """Relative defect | sum u_k^2 - ||u||^2 | / ||u||^2."""
-        if self.l2_norm == 0.0:
-            return 0.0
-        return abs(float(np.sum(self.coeffs**2)) - self.l2_norm**2) / self.l2_norm**2
-
-
 def _available_bytes() -> float:
     """MemAvailable of /proc/meminfo; no limit where it cannot be read."""
     try:
@@ -207,11 +187,20 @@ def _available_bytes() -> float:
         return math.inf
 
 
+def _brief(x, spec: str = "") -> str:
+    """`format(x, spec)` below 1e15, else 3 significant digits (of an int past float range too)."""
+    if x < 1e15:
+        return format(x, spec)
+    exp = int(math.log10(x))
+    mantissa, shift = f"{x / 10**exp:.2e}".split("e")
+    return f"{mantissa}e+{exp + int(shift)}"
+
+
 def _check_memory(floats: int, what: str) -> None:
     """Refuse, before allocating, `floats` float64 values that memory cannot hold."""
     need, avail = 8.0 * min(floats, 1e307), _available_bytes()  # an int count past float range is refused too
     if need > avail:
-        raise DenseMemoryError(f"{what} needs ~{need / 2**30:.2f} GiB, {avail / 2**30:.2f} GiB available")
+        raise DenseMemoryError(f"{what} needs ~{_brief(need / 2**30, '.2f')} GiB, {_brief(avail / 2**30, '.2f')} GiB available")
 
 
 def eigendecompose(op: DiscreteOperator) -> EigenBasis:

@@ -278,6 +278,23 @@ def test_probe_counts_its_grid_against_available_memory(tmp_path, capsys, monkey
     assert err.startswith("config error: key 'nodes':") and "1D grid of 1000000 nodes" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--nodes=1e300"],
+        ["solve", "--dim=2", "--nodes=1e300"],
+        ["probe", "--probe=interior", "--nodes=1e300"],
+        ["converge", "--layers=1e300", "--levels=40"],
+    ],
+    ids=["solve", "solve-2d", "probe", "converge"],
+)
+def test_a_huge_count_is_refused_in_one_short_line(tmp_path, capsys, args):
+    # a count past 1e15 and its GiB figure print 3 significant digits, not ~300 (~600 for the 2D grid)
+    assert main([*args, f"--out={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err
+
+
 def test_converge_budgets_y_nodes_only(tmp_path, monkeypatch):
     # no operator is built, so a 100,001-node base (400,001 at the finest level)
     # runs in memory for the 65 y-nodes of its finest mesh

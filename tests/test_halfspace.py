@@ -21,7 +21,6 @@ from fracell.halfspace import (
     RHS_INDICATOR,
     RHS_ONE,
     boundary_growth_exponent,
-    boundary_growth_law,
     closed_form_halfline,
     halfline_inverse_quadrature,
     halfspace_kernel,
@@ -287,7 +286,5 @@ def test_boundary_growth_exponents():
     assert boundary_growth_exponent(0.25) == 0.5
     assert boundary_growth_exponent(0.5) == 1.0
     assert boundary_growth_exponent(0.9) == 1.0
-    assert boundary_growth_law(0.5)["log_correction"]
-    assert not boundary_growth_law(0.9)["log_correction"]
     with pytest.raises(HalfSpaceError):
         boundary_growth_exponent(1.0)

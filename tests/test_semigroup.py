@@ -11,11 +11,9 @@ from fracell import (
     SingularQuadrature,
     assemble,
     balakrishnan_apply,
-    balakrishnan_scalar,
     eigendecompose,
     fractional_apply,
     greens_function,
-    greens_function_quadrature,
     heat_apply,
     heat_kernel,
     jump_kernel,
@@ -28,6 +26,8 @@ from fracell import (
 from fracell.semigroup import (
     KernelMatrix,
     QuadratureError,
+    _mode_balakrishnan,
+    _mode_greens_quadrature,
     boundary_factor_fit,
     gaussian_bound_fit,
     greens_route_agreement,
@@ -51,14 +51,19 @@ def quad_half(basis_dirichlet):
 # ---------------------------------------------------------------------------
 
 
+def _balakrishnan(lam, s, q):
+    """lambda^s by the Balakrishnan rule q, for one eigenvalue."""
+    return float(_mode_balakrishnan(np.array([lam]), s, q)[0])
+
+
 def test_balakrishnan_scalar_unit():
     q = SingularQuadrature.for_spectrum(0.5, 0.5, 10.0)
-    assert abs(balakrishnan_scalar(1.0, 0.5, q) - 1.0) <= 1e-8
+    assert abs(_balakrishnan(1.0, 0.5, q) - 1.0) <= 1e-8
 
 
 def test_balakrishnan_scalar_analytic():
     q = SingularQuadrature.for_spectrum(0.5, 1.0, 10.0)
-    assert abs(balakrishnan_scalar(4.0, 0.5, q) - 2.0) <= 2e-8
+    assert abs(_balakrishnan(4.0, 0.5, q) - 2.0) <= 2e-8
 
 
 def test_balakrishnan_scalar_spectrum_stress():
@@ -66,18 +71,24 @@ def test_balakrishnan_scalar_spectrum_stress():
     basis = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
     lam_max = basis.lambda_max
     q = SingularQuadrature.for_spectrum(0.75, basis.lambda_min_positive, lam_max)
-    val = balakrishnan_scalar(lam_max, 0.75, q)
+    val = _balakrishnan(lam_max, 0.75, q)
     assert abs(val - lam_max**0.75) / lam_max**0.75 <= 1e-6
+
+
+def test_balakrishnan_maps_a_zero_eigenvalue_to_exactly_zero(quad_half):
+    # the Neumann constant mode: expm1(-t * 0) is exactly 0 at every node
+    vals = _mode_balakrishnan(np.array([0.0, 1.0]), 0.5, quad_half)
+    assert vals[0] == 0.0 and vals[1] > 0.0
 
 
 def test_quadrature_exactness_ladder(basis_dirichlet):
     # calibrated rule reproduces lambda^s over the whole spectrum
+    lam = basis_dirichlet.eigenvalues
     for s in (0.25, 0.5, 0.75):
         q = SingularQuadrature.for_spectrum(
             s, basis_dirichlet.lambda_min_positive, basis_dirichlet.lambda_max
         )
-        rep = q.calibration_report(s, basis_dirichlet.eigenvalues)
-        assert rep["max_residual"] <= 1e-8
+        assert np.abs(_mode_balakrishnan(lam, s, q) / lam**s - 1.0).max() <= 1e-8
 
 
 def test_quadrature_refinement_monotone():
@@ -87,13 +98,13 @@ def test_quadrature_refinement_monotone():
     resid = []
     for n in (40, 80, 160):
         q = SingularQuadrature.build(s, t_min, t_max, n)
-        resid.append(abs(balakrishnan_scalar(lam, s, q) - lam**s) / lam**s)
+        resid.append(abs(_balakrishnan(lam, s, q) - lam**s) / lam**s)
     assert resid[0] > resid[1] > resid[2]
 
 
-def test_quadrature_exponent_mismatch_rejected(quad_half):
+def test_quadrature_exponent_mismatch_rejected(basis_dirichlet, quad_half):
     with pytest.raises(QuadratureError):
-        balakrishnan_scalar(2.0, 0.25, quad_half)
+        jump_kernel(basis_dirichlet, 0.25, quad_half)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +494,9 @@ def test_bilinear_form_neumann_has_no_killing(basis_neumann, rng):
 def test_greens_function_contract(basis_dirichlet):
     s = 0.5
     G = greens_function(basis_dirichlet, s)
-    Gq = greens_function_quadrature(basis_dirichlet, s)
+    Gq = basis_dirichlet.kernel(_mode_greens_quadrature(basis_dirichlet, s))
     assert G.symmetry_defect() <= 1e-10
-    rel = np.abs(G.entries - Gq.entries).max() / np.abs(G.entries).max()
+    rel = np.abs(G.entries - Gq).max() / np.abs(G.entries).max()
     assert rel <= 1e-6
     lam = basis_dirichlet.eigenvalues
     assert np.linalg.eigvalsh(G.entries).min() > 0  # positive matrix
@@ -496,8 +507,8 @@ def test_streamed_route_agreement_is_the_full_kernels_bit_for_bit(shape, s):
     g = Grid((1.0,) * len(shape), shape)
     A = CoefficientField.from_callable(g, lambda *xs: 1.0 + 0.5 * np.sin(2 * np.pi * xs[0]))
     basis = eigendecompose(assemble(g, A, DIRICHLET))
-    G, Gq = greens_function(basis, s), greens_function_quadrature(basis, s)
-    want = np.abs(G.entries - Gq.entries).max() / np.abs(G.entries).max()
+    G, Gq = greens_function(basis, s), basis.kernel(_mode_greens_quadrature(basis, s))
+    want = np.abs(G.entries - Gq).max() / np.abs(G.entries).max()
     assert greens_route_agreement(G) == want
 
 
