@@ -19,7 +19,7 @@ prints nothing, and so does
 
 which prints, instead of every line, `- old` and `+ new` for each line that
 differs from the saved run (a file that only one run wrote gets one of the
-two) and exits 1 if any does.  A full run peaks at about 99 MiB of resident
+two) and exits 1 if any does.  A full run peaks at about 90 MiB of resident
 memory (2-core VM, 1 BLAS thread).
 """
 

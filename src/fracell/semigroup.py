@@ -157,6 +157,22 @@ class SingularQuadrature:
         return np.tensordot(self.weights, vals, axes=(0, 0))
 
 
+_MODE_COLUMNS = 256  # eigenvalues of one integrand table of a modewise rule: nodes x 256 floats stay in cache
+
+
+def _modewise(q: SingularQuadrature, lams, fill) -> np.ndarray:
+    """`q.integrate` of a modewise integrand for every eigenvalue of `lams`, flattened.
+    `fill` maps the table T[j, k] = -t_j lam_k in place to the integrand and returns it;
+    the tables hold at most _MODE_COLUMNS eigenvalues, each eigenvalue's sum reads only
+    its own column, and no nodes x N table is built."""
+    lams = np.ravel(lams)
+    out = np.empty(lams.shape)
+    for c in range(0, lams.size, _MODE_COLUMNS):
+        block = lams[c : c + _MODE_COLUMNS]
+        out[c : c + _MODE_COLUMNS] = q.integrate(lambda t: fill(np.multiply.outer(-t, block)))
+    return out
+
+
 def _check_exponent(q: SingularQuadrature, s: float) -> None:
     if q.exponent != s:
         raise QuadratureError(f"rule exponent {q.exponent} does not match s={s}")
@@ -167,7 +183,7 @@ def _mode_balakrishnan(lams: np.ndarray, s: float, q: SingularQuadrature) -> np.
 
     Exact zero eigenvalues map to exactly zero (constant mode).
     """
-    return q.integrate(lambda t: np.expm1(-np.outer(t, lams))) / gamma_fn(-s)
+    return _modewise(q, lams, lambda T: np.expm1(T, out=T)) / gamma_fn(-s)
 
 
 def _mode_poisson(basis: EigenBasis, s: float, y: float):
@@ -176,10 +192,10 @@ def _mode_poisson(basis: EigenBasis, s: float, y: float):
     has_kernel = bool(np.any(basis.eigenvalues == 0.0))
     q = SingularQuadrature.for_poisson(s, y, basis.lambda_min_positive, has_kernel)
 
-    def factor(lam):
-        vals = q.integrate(
-            lambda t: np.exp(-(y**2) / (4.0 * t))[:, None] * np.exp(-np.outer(t, lam))
-        )
+    gauss = np.exp(-(y**2) / (4.0 * q.nodes))[:, None]
+
+    def factor(lams):
+        vals = _modewise(q, lams, lambda T: np.multiply(np.exp(T, out=T), gauss, out=T))
         return vals * y ** (2 * s) / (4.0**s * gamma_fn(s))
 
     return factor
@@ -287,13 +303,21 @@ def balakrishnan_apply(
 # ---------------------------------------------------------------------------
 
 
-def _pairs(pts: np.ndarray, idx: np.ndarray, held: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The node pairs i < j from `idx` and their distances |pts[i] - pts[j]|; the memory check counts
-    n^2/2 index pairs, then 4 coordinate arrays of n^2/2 x dim, next to `held` floats in use."""
-    _check_memory(held + (2 * pts.shape[1] + 2) * idx.size**2, f"pair distances of {idx.size} nodes")
-    i, j = np.triu_indices(idx.size, k=1)
-    i, j = idx[i], idx[j]
-    return i, j, np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1))
+_PAIR_ROWS = 64  # rows i of one block of node pairs (i, j > i) in `_pair_blocks`
+
+
+def _pair_blocks(pts: np.ndarray, idx: np.ndarray, held: int, kept: int):
+    """Blocks (i, j, |pts[i] - pts[j]|) of the node pairs i < j from `idx`, _PAIR_ROWS rows i
+    at a time, in upper-triangle order.  The memory check counts `held` floats in use, `kept`
+    floats per pair that the caller keeps, and one block of ~(3 dim + 6) floats per pair."""
+    n = idx.size
+    _check_memory(held + kept * n * (n - 1) // 2 + (3 * pts.shape[1] + 6) * _PAIR_ROWS * n, f"pair distances of {n} nodes")
+    sub, cols = pts[idx], np.arange(n)
+    for lo in range(0, n, _PAIR_ROWS):
+        i, j = np.nonzero(cols[lo : lo + _PAIR_ROWS, None] < cols)  # row by row, j ascending
+        i += lo
+        dist = np.sqrt(np.sum((sub[i] - sub[j]) ** 2, axis=1))
+        yield idx[i], idx[j], dist
 
 
 @dataclass(frozen=True)
@@ -345,15 +369,19 @@ class KernelMatrix:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(distance, value) arrays over unordered interior node pairs with
         r_min <= |x-z| <= r_max, both endpoints at least `interior_margin`
-        from the box boundary."""
+        from the box boundary, in upper-triangle order; the memory check
+        counts every pair kept, in its blocks and their concatenation."""
         pts = self.active_coords()
         ok = np.ones(len(pts), dtype=bool)
         for d in range(self.grid.dim):
             lo, hi = interior_margin, self.grid.extents[d] - interior_margin
             ok &= (pts[:, d] >= lo) & (pts[:, d] <= hi)
-        i, j, dist = _pairs(pts, np.flatnonzero(ok), self.entries.size)
-        keep = (dist >= r_min) & (dist <= r_max)
-        return dist[keep], self.entries[i[keep], j[keep]]
+        dist, vals = [np.empty(0)], [np.empty(0)]
+        for i, j, r in _pair_blocks(pts, np.flatnonzero(ok), self.entries.size, 4):
+            keep = (r >= r_min) & (r <= r_max)
+            dist.append(r[keep])
+            vals.append(self.entries[i[keep], j[keep]])
+        return np.concatenate(dist), np.concatenate(vals)
 
 
 def heat_kernel(basis: EigenBasis, t: float) -> KernelMatrix:
@@ -451,7 +479,7 @@ def _mode_greens_quadrature(basis: EigenBasis, s: float):
     if np.any(lam <= 0):
         raise ValueError("Green function requires a strictly positive spectrum")
     q = SingularQuadrature.for_inverse(s, float(lam.min()), float(lam.max()))
-    return lambda lam: q.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)
+    return lambda lams: _modewise(q, lams, lambda T: np.exp(T, out=T)) / gamma_fn(s)
 
 
 def greens_route_agreement(G: KernelMatrix) -> float:
@@ -616,17 +644,17 @@ def boundary_factor_fit(kernel: KernelMatrix, phi0: GridFunction) -> dict:
     h = max(grid.spacing)
     pts = kernel.active_coords()
     p0 = phi0.restrict(basis.active_mask)
-    i, j, dist = _pairs(pts, np.arange(len(pts)), kernel.entries.size)
-    vals, pp = kernel.entries[i, j], p0[i] * p0[j]
-    keep = (dist >= 2 * h) & (vals > 0)
-    dist, vals, pp = dist[keep], vals[keep], pp[keep]
-    normalized = vals * dist ** (n + 2 * s)
-    envelope = np.minimum(1.0, pp / dist**2)
-    ratio = normalized / envelope
+    ratios = [np.empty(0)]  # the ratio blocks, their concatenation and the median's copy: 3 floats a pair
+    for i, j, dist in _pair_blocks(pts, np.arange(len(pts)), kernel.entries.size, 3):
+        vals, pp = kernel.entries[i, j], p0[i] * p0[j]
+        keep = (dist >= 2 * h) & (vals > 0)
+        dist, vals, pp = dist[keep], vals[keep], pp[keep]
+        ratios.append(vals * dist ** (n + 2 * s) / np.minimum(1.0, pp / dist**2))
+    ratio = np.concatenate(ratios)
     return {
         "kind": kernel.kind,
         "s": s,
         "fitted_constant": float(ratio.max()),
         "median_ratio": float(np.median(ratio)),
-        "pairs_used": int(dist.size),
+        "pairs_used": int(ratio.size),
     }

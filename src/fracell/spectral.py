@@ -197,10 +197,19 @@ def _brief(x, spec: str = "") -> str:
 
 
 def _check_memory(floats: int, what: str) -> None:
-    """Refuse, before allocating, `floats` float64 values that memory cannot hold."""
-    need, avail = 8.0 * min(floats, 1e307), _available_bytes()  # an int count past float range is refused too
-    if need > avail:
-        raise DenseMemoryError(f"{what} needs ~{_brief(need / 2**30, '.2f')} GiB, {_brief(avail / 2**30, '.2f')} GiB available")
+    """Refuse, before allocating, `floats` float64 values that memory cannot hold.  An int
+    count past float range is compared as 1e307 floats; the need printed is the exact count's,
+    rounded up (to 3 significant digits past 1e15 GiB)."""
+    avail = _available_bytes()
+    if 8.0 * min(floats, 1e307) > avail:
+        cents = int(-(-800 * floats // 2**30))  # hundredths of a GiB, rounded up
+        if cents < 10**17:
+            need = f"{cents // 100}.{cents % 100:02d}"
+        else:  # round up to 3 significant digits, which `_brief` prints verbatim
+            unit = 10 ** (int(math.log10(cents)) - 2)
+            unit *= 10 if cents >= 1000 * unit else 1
+            need = _brief(-(-cents // unit) * unit // 100)
+        raise DenseMemoryError(f"{what} needs ~{need} GiB, {_brief(avail / 2**30, '.2f')} GiB available")
 
 
 def eigendecompose(op: DiscreteOperator) -> EigenBasis:

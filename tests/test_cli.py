@@ -295,6 +295,32 @@ def test_a_huge_count_is_refused_in_one_short_line(tmp_path, capsys, args):
     assert err.count("\n") == 1 and len(err) < 200, err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--dim=2", "--nodes=1e300"], ["converge", "--layers=1e300", "--levels=40"]],
+    ids=["solve-2d", "converge"],
+)
+def test_a_count_past_float_range_prints_its_true_need(tmp_path, capsys, monkeypatch, args):
+    # the refusal compares a clamped float but prints the GiB figure of the exact int count, rounded up
+    import re
+    from decimal import Decimal
+
+    import fracell.cli as cli
+    from fracell import spectral
+
+    counts = []
+
+    def recorded(floats, what):
+        counts.append(floats)
+        spectral._check_memory(floats, what)
+
+    monkeypatch.setattr(cli, "_check_memory", recorded)
+    assert main([*args, f"--out={tmp_path}"]) == 2
+    printed = Decimal(re.search(r"needs ~(\S+) GiB", capsys.readouterr().err).group(1))
+    true_gib = Decimal(8 * counts[-1]) / 2**30
+    assert counts[-1] > 10**300 and true_gib <= printed <= true_gib * Decimal("1.01")  # rounded up, 3 digits
+
+
 def test_converge_budgets_y_nodes_only(tmp_path, monkeypatch):
     # no operator is built, so a 100,001-node base (400,001 at the finest level)
     # runs in memory for the 65 y-nodes of its finest mesh

@@ -26,8 +26,10 @@ from fracell import (
 from fracell.semigroup import (
     KernelMatrix,
     QuadratureError,
+    _MODE_COLUMNS,
     _mode_balakrishnan,
     _mode_greens_quadrature,
+    _mode_poisson,
     boundary_factor_fit,
     gaussian_bound_fit,
     greens_route_agreement,
@@ -565,3 +567,91 @@ def test_boundary_factor_fit_checks_available_memory(basis_dirichlet, quad_half,
     monkeypatch.setattr(spectral, "_available_bytes", lambda: 8.0 * K.entries.size)
     with pytest.raises(spectral.DenseMemoryError, match="pair distances"):
         boundary_factor_fit(K, basis_dirichlet.eigenfunction(0))
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation: mode factors by eigenvalue blocks, pairs by row blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def basis_40():
+    g = Grid((1.0, 1.0), (40, 40))
+    return eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
+
+
+def test_blocked_mode_factors_match_the_one_table_rules(basis_40):
+    # 38^2 = 1444 eigenvalues in 6 blocks; the one-table rules sum the same columns
+    from scipy.special import gamma as gamma_fn
+
+    lam, s, y = basis_40.eigenvalues, 0.25, 0.3
+    assert -(-lam.size // _MODE_COLUMNS) == 6
+    q = SingularQuadrature.for_spectrum(s, basis_40.lambda_min_positive, basis_40.lambda_max)
+    qg = SingularQuadrature.for_inverse(s, float(lam.min()), float(lam.max()))
+    qp = SingularQuadrature.for_poisson(s, y, basis_40.lambda_min_positive, False)
+    gauss = np.exp(-(y**2) / (4.0 * qp.nodes))[:, None]
+    pairs = [
+        (_mode_balakrishnan(lam, s, q), q.integrate(lambda t: np.expm1(-np.outer(t, lam))) / gamma_fn(-s)),
+        (_mode_greens_quadrature(basis_40, s)(lam), qg.integrate(lambda t: np.exp(-np.outer(t, lam))) / gamma_fn(s)),
+        (
+            _mode_poisson(basis_40, s, y)(lam),
+            qp.integrate(lambda t: gauss * np.exp(-np.outer(t, lam))) * y ** (2 * s) / (4.0**s * gamma_fn(s)),
+        ),
+    ]
+    for blocked, whole in pairs:
+        assert blocked.shape == whole.shape == lam.shape
+        assert np.abs(blocked - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+def test_blocked_mode_factors_keep_every_shape(quad_half):
+    # an empty spectrum, one eigenvalue and a scalar give what one table gave: a flat array
+    assert _mode_balakrishnan(np.array([]), 0.5, quad_half).shape == (0,)
+    one = _mode_balakrishnan(np.array([4.0]), 0.5, quad_half)
+    assert one.shape == (1,) and np.array_equal(_mode_balakrishnan(4.0, 0.5, quad_half), one)
+
+
+@pytest.mark.parametrize("window", [{"interior_margin": 0.0}, {}], ids=["margin0", "default"])
+def test_pair_data_is_the_all_pairs_walk(window):
+    # the row blocks return the pairs, distances and values of one upper-triangle walk, in its order
+    g = Grid((1.0, 1.0), (24, 24))
+    basis = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
+    K = heat_kernel(basis, 0.01)
+    r_min, r_max = 2 * g.spacing[0], 0.25
+    margin = window.get("interior_margin", 0.25)
+    pts = K.active_coords()
+    idx = np.flatnonzero(np.all((pts >= margin) & (pts <= 1.0 - margin), axis=1))
+    i, j = (idx[k] for k in np.triu_indices(idx.size, k=1))
+    dist = np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1))
+    keep = (dist >= r_min) & (dist <= r_max)
+    got = K.pair_data(r_min, r_max, margin)
+    assert np.array_equal(got[0], dist[keep]) and np.array_equal(got[1], K.entries[i[keep], j[keep]])
+    assert keep.sum() > 1000
+
+
+def test_boundary_factor_fit_is_the_all_pairs_ratio(basis_dirichlet, quad_half):
+    # the row blocks give the ratios of one all-pairs table, so its max and median to the bit
+    K = jump_kernel(basis_dirichlet, 0.5, quad_half)
+    phi0 = basis_dirichlet.eigenfunction(0).restrict(basis_dirichlet.active_mask)
+    pts, h, n = K.active_coords(), max(K.grid.spacing), K.grid.dim
+    i, j = np.triu_indices(len(pts), k=1)
+    dist, vals, pp = np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1)), K.entries[i, j], phi0[i] * phi0[j]
+    keep = (dist >= 2 * h) & (vals > 0)
+    ratio = vals[keep] * dist[keep] ** (n + 1.0) / np.minimum(1.0, pp[keep] / dist[keep] ** 2)
+    rep = boundary_factor_fit(K, basis_dirichlet.eigenfunction(0))
+    assert rep["pairs_used"] == ratio.size > 0
+    assert rep["fitted_constant"] == float(ratio.max()) and rep["median_ratio"] == float(np.median(ratio))
+
+
+def test_jump_kernel_fit_peaks_near_the_kernel_itself(basis_40):
+    # a kernel of 1444^2 floats (15.9 MiB) and its slope fit stay within 4 MiB of it
+    import tracemalloc
+
+    q = SingularQuadrature.for_spectrum(0.25, basis_40.lambda_min_positive, basis_40.lambda_max)
+    tracemalloc.start()
+    try:
+        K = jump_kernel(basis_40, 0.25, q)
+        kernel_slope_fit(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= K.entries.nbytes + 4 * 2**20
