@@ -21,6 +21,13 @@ which prints, instead of every line, `- old` and `+ new` for each line that
 differs from the saved run (a file that only one run wrote gets one of the
 two) and exits 1 if any does.  A full run peaks at about 90 MiB of resident
 memory (2-core VM, 1 BLAS thread).
+
+The bytes are pinned at one BLAS thread: run both trees with
+`OPENBLAS_NUM_THREADS=1`.  `scipy.linalg.eigh_tridiagonal` (LAPACK `stevd`,
+which merges its divide-and-conquer pieces with BLAS-3 calls) returns
+bitwise different eigenpairs at one and at two OpenBLAS threads, the same
+way on every run, so the `solve --nodes=1025 --coeff=sine` case writes other
+bytes when the thread count differs.
 """
 
 import argparse

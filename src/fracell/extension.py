@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.linalg as sla
-from scipy.special import gamma as gamma_fn, kv, kve
 
 from .grids import Grid, GridFunction, GridError
 from .operators import DiscreteOperator, _gate_backward_error, _tridiagonal
@@ -64,11 +62,15 @@ _FLUSH_BELOW = float(np.finfo(float).tiny)  # `_y_solve` zeroes subnormal soluti
 
 def dtn_constant_intro(s: float) -> float:
     """|Gamma(-s)| / (4^s Gamma(s)) - the incremental-quotient normalization."""
+    from scipy.special import gamma as gamma_fn
+
     return abs(gamma_fn(-s)) / (4.0**s * gamma_fn(s))
 
 
 def dtn_constant_divform(s: float) -> float:
     """Gamma(1-s) / (4^{s-1/2} Gamma(s)) - the weighted-derivative normalization."""
+    from scipy.special import gamma as gamma_fn
+
     return gamma_fn(1.0 - s) / (4.0 ** (s - 0.5) * gamma_fn(s))
 
 
@@ -87,6 +89,8 @@ def bessel_k(nu: float, x: float) -> float:
     x in [1e-6, 50]; overflow/underflow outside the representable range is
     flagged instead of silently returning garbage.
     """
+    from scipy.special import kve
+
     if not 0.0 < nu < 1.0:
         raise ValueError(f"order nu={nu} outside (0,1)")
     if x <= 0.0:
@@ -101,6 +105,8 @@ def bessel_k(nu: float, x: float) -> float:
 
 def _decay_height(s: float, lam0: float, tol: float = 1e-8) -> float:
     """Smallest Y with K_s(sqrt(lam0) Y) < tol (truncation-lid rule)."""
+    from scipy.special import kve
+
     w_lo, w_hi = 1e-3, 4.0
     while kve(s, w_hi) * math.exp(-w_hi) >= tol:
         w_lo, w_hi = w_hi, 2.0 * w_hi
@@ -252,6 +258,8 @@ def _y_solve(mesh: ExtensionMesh, lam: np.ndarray, rhs: np.ndarray, first: int) 
     in `solveh_banded`'s upper layout: one LAPACK `ptsv` call, which overwrites rhs.  Entries
     of x below the smallest normal double (high modes far up the cylinder) are flushed to
     zero: a BLAS basis transform of subnormal operands takes a slow path."""
+    import scipy.linalg as sla
+
     M, vol = mesh.layers, mesh.base.cell_volume
     diag, off = _tridiagonal(mesh.face_kappa(), False)  # T / vol
     band = np.zeros((2, lam.size, M - first))
@@ -441,6 +449,8 @@ def extension_series_eval(
     evaluated with the scaled Bessel routine so large arguments underflow
     cleanly to zero.  y = 0 returns u (the prefactor limit is exactly one).
     """
+    from scipy.special import gamma as gamma_fn, kve
+
     if y < 0:
         raise ExtensionError("need y >= 0")
     if not 0.0 < s < 1.0:

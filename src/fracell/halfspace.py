@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .grids import (
@@ -297,6 +296,8 @@ def reduction_1d_check(
     reports the max deviation over lateral positions (exact for
     tensor-product discrete operators).
     """
+    import scipy.linalg as sla
+
     from .spectral import _KERNEL_RTOL, _MEAN_RTOL, CompatibilityError, eigendecompose, fractional_solve
 
     g_ver = phi.grid

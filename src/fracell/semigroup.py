@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.special import gamma as gamma_fn, gammaln
 
 from .grids import Grid, GridFunction, _node_points
 from .operators import DiscreteOperator, _gate_backward_error
@@ -116,6 +114,8 @@ class SingularQuadrature:
         t_min caps the head truncation (lam t)^(1-s)/(1-s); t_max caps the
         power tail t^(-s)/(s |Gamma(-s)| lam_min^s).
         """
+        from scipy.special import gamma as gamma_fn
+
         if not 0 < s < 1:
             raise QuadratureError(f"s={s} outside (0,1)")
         if not 0 < lam_min <= lam_max:
@@ -128,6 +128,8 @@ class SingularQuadrature:
     @classmethod
     def for_inverse(cls, s: float, lam_min: float, lam_max: float) -> "SingularQuadrature":
         """Rule with exponent -s for int e^{-t lam} dt/t^{1-s} = Gamma(s) lam^{-s}."""
+        from scipy.special import gamma as gamma_fn
+
         if not 0 < s < 1:
             raise QuadratureError(f"s={s} outside (0,1)")
         t_min = (_TOL * s * gamma_fn(s)) ** (1.0 / s) / lam_max
@@ -143,6 +145,8 @@ class SingularQuadrature:
         a zero eigenvalue is present (Neumann), where the decay is only the
         power t^{-1-s}.
         """
+        from scipy.special import gamma as gamma_fn
+
         if y <= 0:
             raise QuadratureError("Poisson rule needs y > 0")
         t_min = y**2 / (4.0 * 45.0)
@@ -183,12 +187,16 @@ def _mode_balakrishnan(lams: np.ndarray, s: float, q: SingularQuadrature) -> np.
 
     Exact zero eigenvalues map to exactly zero (constant mode).
     """
+    from scipy.special import gamma as gamma_fn
+
     return _modewise(q, lams, lambda T: np.expm1(T, out=T)) / gamma_fn(-s)
 
 
 def _mode_poisson(basis: EigenBasis, s: float, y: float):
     """Mode factor lam -> (y^{2s}/(4^s Gamma(s))) int e^{-y^2/(4t)} e^{-t lam} dt/t^{1+s}
     of the extension Poisson semigroup, by a rule built for the spectrum of `basis`."""
+    from scipy.special import gamma as gamma_fn
+
     has_kernel = bool(np.any(basis.eigenvalues == 0.0))
     q = SingularQuadrature.for_poisson(s, y, basis.lambda_min_positive, has_kernel)
 
@@ -230,6 +238,8 @@ def _resolvent(L: sp.csr_matrix, band: np.ndarray, norm_L: float, dt: np.ndarray
     Cholesky factor (`dpbtrf`) covers them all, and per call one back-solve
     (`dpbtrs`) solves them all, each block's backward error gated with its
     own norms (||I + dt L|| <= 1 + dt norm_L)."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
     (kd1, n), k = band.shape, dt.size
     _check_memory((2 * kd1 + 6) * k * n, f"{k} stacked resolvents of {n} unknowns")  # band, factor, ~6 vectors
     ab = np.multiply(dt[:, None, None], band.T).reshape(k * n, kd1).T  # Fortran order, block j in columns j*n..
@@ -270,6 +280,8 @@ def balakrishnan_apply(
     backward error gated (`_resolvent`).  The rule of
     `SingularQuadrature.for_spectrum` is calibrated for this integrand too.
     """
+    from scipy.special import gammaln
+
     _check_exponent(q, s)
     if isinstance(source, EigenBasis):
         return source.apply_fn(lambda lam: _mode_balakrishnan(lam, s, q), u)
@@ -401,6 +413,8 @@ def jump_kernel(basis: EigenBasis, s: float, q: SingularQuadrature) -> KernelMat
     exact while staying numerically stable.  The diagonal (divergent in the
     continuum) is stored as zero and excluded from every assertion.
     """
+    from scipy.special import gamma as gamma_fn
+
     _check_exponent(q, s)
     # int (W_t - completeness) dt/t^{1+s} = Phi diag(Gamma(-s) lam^s) Phi^T
     K = basis.kernel(lambda lam: gamma_fn(-s) * _mode_balakrishnan(lam, s, q))
@@ -475,6 +489,8 @@ def greens_function(basis: EigenBasis, s: float) -> KernelMatrix:
 
 def _mode_greens_quadrature(basis: EigenBasis, s: float):
     """Mode factor of the semigroup route (1/Gamma(s)) int e^{-t lam} dt/t^{1-s}."""
+    from scipy.special import gamma as gamma_fn
+
     lam = basis.eigenvalues
     if np.any(lam <= 0):
         raise ValueError("Green function requires a strictly positive spectrum")

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .grids import Grid, GridFunction, BoundaryCondition
 from .operators import DiscreteOperator, _kronecker_factors, _tridiagonal
@@ -246,6 +245,8 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
         if line is not None:  # every block T_x + mu_j b0 I shares T_x's eigenvectors: one read-only view
             lam, X = line[0] + mu[:, None] * b[0], np.broadcast_to(line[1], (ny, nx, nx))
         else:
+            import scipy.linalg as sla
+
             _check_memory(need(ny), what)
             if ny == 1:  # one y-mode: scipy's batching would copy X
                 lam, X = sla.eigh_tridiagonal(d + mu[0] * b, e)
@@ -255,6 +256,8 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
         order = np.argsort(lam, axis=None, kind="stable")
         lam = lam.ravel()[order]
     else:
+        import scipy.linalg as sla
+
         _check_memory(5 * op.size**2, f"dense eigendecomposition of {op.size} unknowns")
         dense = op.matrix.toarray()
         dense = 0.5 * (dense + dense.T)

@@ -426,6 +426,28 @@ def test_cli_import_skips_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["solve", "--nodes=17"], []),
+        (["solve", "--nodes=17", "--coeff=sine"], ["scipy.linalg"]),
+        (["kernel", "--kind=jump", "--nodes=33"], ["scipy.special"]),
+    ],
+    ids=["solve", "solve-sine", "kernel-jump"],
+)
+def test_cli_command_imports_only_the_scipy_it_calls(argv, loaded, tmp_path):
+    # `import fracell` loads numpy and scipy.sparse; scipy.linalg and scipy.special are
+    # imported by the functions that call them, so a command that calls neither loads neither
+    probe = (
+        "import sys, fracell, fracell.cli\n"
+        f"assert fracell.cli.main({[*argv, f'--out={tmp_path}']!r}) == 0\n"
+        "print([m for m in ('scipy.linalg', 'scipy.special', 'scipy.integrate') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == repr(loaded)
+
+
 def test_halfline_slope_check_is_relative(tmp_path, monkeypatch):
     # a slope 50 % off 2s = 2e-3 is 1e-3 off, which an absolute 1e-3 tolerance passed
     from fracell import cli

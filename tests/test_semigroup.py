@@ -231,10 +231,10 @@ def test_balakrishnan_apply_eigenfree_uses_no_eigensolver(op_variable, basis_var
 
 
 def test_balakrishnan_apply_eigenfree_gates_backward_error(op_variable, basis_variable, rng, monkeypatch):
-    import fracell.semigroup as semigroup
+    import scipy.linalg.lapack as lapack
 
-    exact = semigroup.dpbtrs
-    monkeypatch.setattr(semigroup, "dpbtrs", lambda c, b: (exact(c, b)[0] * (1.0 + 1e-9), 0))
+    exact = lapack.dpbtrs
+    monkeypatch.setattr(lapack, "dpbtrs", lambda c, b: (exact(c, b)[0] * (1.0 + 1e-9), 0))
     q = SingularQuadrature.for_spectrum(0.5, basis_variable.lambda_min_positive, basis_variable.lambda_max)
     with pytest.raises(QuadratureError, match="backward error"):
         balakrishnan_apply(op_variable, random_dirichlet_field(op_variable, rng), 0.5, q)
@@ -243,12 +243,12 @@ def test_balakrishnan_apply_eigenfree_gates_backward_error(op_variable, basis_va
 def test_balakrishnan_apply_eigenfree_refuses_neumann(op_neumann, basis_neumann, rng, monkeypatch):
     # the constant mode makes Cholesky of I + tL break down at large t; the
     # route is refused by name before any factorization
-    import fracell.semigroup as semigroup
+    import scipy.linalg.lapack as lapack
 
     def refuse(*args, **kwargs):
         raise AssertionError("factored a singular operator")
 
-    monkeypatch.setattr(semigroup, "dpbtrf", refuse)
+    monkeypatch.setattr(lapack, "dpbtrf", refuse)
     u = op_neumann.embed(rng.standard_normal(op_neumann.size))
     q = SingularQuadrature.for_spectrum(0.5, basis_neumann.lambda_min_positive, basis_neumann.lambda_max)
     with pytest.raises(QuadratureError, match="positive definite"):
@@ -305,10 +305,12 @@ def test_stacked_resolvents_match_the_per_node_loop_2d(rng):
 
 
 def test_stacked_resolvents_stay_within_the_row_budget(rng, monkeypatch):
+    import scipy.linalg.lapack as lapack
+
     import fracell.semigroup as semigroup
 
     shapes, floats = [], []
-    exact_trf, exact_check = semigroup.dpbtrf, semigroup._check_memory
+    exact_trf, exact_check = lapack.dpbtrf, semigroup._check_memory
 
     def recording_trf(ab):
         shapes.append(ab.shape)
@@ -318,7 +320,7 @@ def test_stacked_resolvents_stay_within_the_row_budget(rng, monkeypatch):
         floats.append(n)
         exact_check(n, what)
 
-    monkeypatch.setattr(semigroup, "dpbtrf", recording_trf)
+    monkeypatch.setattr(lapack, "dpbtrf", recording_trf)
     monkeypatch.setattr(semigroup, "_check_memory", recording_check)
     g = Grid((1.0, 1.0), (24, 24))
     op = assemble(g, _rotated(g), DIRICHLET)
@@ -333,16 +335,16 @@ def test_stacked_resolvents_stay_within_the_row_budget(rng, monkeypatch):
 
 def test_stacked_resolvent_gate_trips_on_one_node(op_variable, basis_variable, rng, monkeypatch):
     # only the first block of each stack is perturbed; the others pass
-    import fracell.semigroup as semigroup
+    import scipy.linalg.lapack as lapack
 
-    exact, n = semigroup.dpbtrs, op_variable.size
+    exact, n = lapack.dpbtrs, op_variable.size
 
     def perturbed(c, b):
         x = exact(c, b)[0]
         x[:n] *= 1.0 + 1e-9
         return x, 0
 
-    monkeypatch.setattr(semigroup, "dpbtrs", perturbed)
+    monkeypatch.setattr(lapack, "dpbtrs", perturbed)
     q = SingularQuadrature.for_spectrum(0.5, basis_variable.lambda_min_positive, basis_variable.lambda_max)
     with pytest.raises(QuadratureError, match="backward error"):
         balakrishnan_apply(op_variable, random_dirichlet_field(op_variable, rng), 0.5, q)

@@ -250,7 +250,7 @@ def test_factored_basis_matches_dense_oracle(shape, bc, coeff, monkeypatch, rng)
     op = assemble(g, _coefficient(g, coeff), bc)
     assert _kronecker_factors(op) is not None
     with monkeypatch.context() as m:
-        m.setattr(spectral.sla, "eigh", no_dense_eigh)
+        m.setattr(scipy.linalg, "eigh", no_dense_eigh)
         fact = eigendecompose(op)
     dense = _dense_oracle(op, monkeypatch)
     assert dense.Q.shape == (1, 1) and fact.Q.shape[0] * fact.X.shape[1] == fact.size
