@@ -14,7 +14,6 @@ from .grids import (
     DIRICHLET,
     NEUMANN,
     CoefficientField,
-    hs_seminorm,
     l2_inner,
     l2_norm,
 )
@@ -32,7 +31,6 @@ from .semigroup import (
     SingularQuadrature,
     balakrishnan_apply,
     heat_apply,
-    heat_kernel,
     jump_kernel,
     killing_term,
     nonlocal_bilinear_form,
@@ -59,7 +57,6 @@ __all__ = [
     "DIRICHLET",
     "NEUMANN",
     "CoefficientField",
-    "hs_seminorm",
     "l2_inner",
     "l2_norm",
     "DiscreteOperator",
@@ -75,7 +72,6 @@ __all__ = [
     "SingularQuadrature",
     "balakrishnan_apply",
     "heat_apply",
-    "heat_kernel",
     "jump_kernel",
     "killing_term",
     "nonlocal_bilinear_form",

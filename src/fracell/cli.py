@@ -482,7 +482,7 @@ def _cmd_halfline(v, out: Path, rng) -> tuple[list, dict]:
     elif s == 0.5:
         c_fit = float(np.dot(vals, cf) / np.dot(cf, cf))
         resid = float(np.abs(vals - c_fit * cf).max() / np.abs(vals).max())
-        c_oracle = interior_log_constant(numeric=True)
+        c_oracle = interior_log_constant()
         assertions.append(_assertion("halfline_log_residual", resid, 0.0, 1e-6))
         assertions.append(_assertion("log_constant_oracle", c_oracle, 3.0 * math.log(3.0), 1e-8, "abs"))
         payload.update({"fitted_constant": c_fit, "residual": resid})
@@ -514,11 +514,10 @@ def _cmd_probe(v, out: Path, rng) -> tuple[list, dict]:
             f = lp_spike(grid, (0.5,), v.p)
             target = 2 * s - 1.0 / v.p
             mode = "linear" if target > 1.0 else "oscillation"
-            alpha = 0.0
         u = fractional_solve_sine(grid, f, s)
         radii = dyadic_radii(grid, r_max=v.r_max, floor_cells=30.0)
         with _fit_needs_nodes():
-            fit = interior_exponent(u, CampanatoProbe((0.5,), tuple(radii), alpha=alpha, mode=mode))
+            fit = interior_exponent(u, CampanatoProbe((0.5,), tuple(radii), mode=mode))
         assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
         report.update({"x0": [0.5], "fit": asdict(fit), "target": target, "tolerance": tol})
     elif which == "boundary":

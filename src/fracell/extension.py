@@ -31,7 +31,6 @@ import scipy.sparse as sp
 from .grids import Grid, GridFunction, GridError
 from .operators import DiscreteOperator, _gate_backward_error, _tridiagonal
 from .spectral import EigenBasis, _check_memory, eigendecompose
-from .semigroup import _mode_poisson
 
 __all__ = [
     "ExtensionMesh",
@@ -43,10 +42,8 @@ __all__ = [
     "extension_multipliers",
     "dtn_constant_intro",
     "dtn_constant_divform",
-    "dtn_constants_relation_defect",
     "extension_energy",
     "extension_series_eval",
-    "extension_semigroup_eval",
     "bessel_k",
     "caccioppoli_check",
     "trace_inequality_check",
@@ -72,14 +69,6 @@ def dtn_constant_divform(s: float) -> float:
     from scipy.special import gamma as gamma_fn
 
     return gamma_fn(1.0 - s) / (4.0 ** (s - 0.5) * gamma_fn(s))
-
-
-def dtn_constants_relation_defect(s: float) -> float:
-    """Relative defect of 2s * intro == divform (an identity of the Gamma
-    function; both constants are displayed normalizations of the same map)."""
-    lhs = 2.0 * s * dtn_constant_intro(s)
-    rhs = dtn_constant_divform(s)
-    return abs(lhs - rhs) / rhs
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -470,15 +459,6 @@ def extension_series_eval(
         return factor
 
     return basis.apply_fn(bessel_factor, u)
-
-
-def extension_semigroup_eval(basis: EigenBasis, u: GridFunction, s: float, y: float) -> GridFunction:
-    """Extension by the semigroup integral
-    (y^{2s}/(4^s Gamma(s))) int e^{-y^2/(4t)} e^{-tL} u dt/t^{1+s};
-    independent quadrature cross-check of the Bessel series."""
-    if y <= 0:
-        raise ExtensionError("semigroup form needs y > 0")
-    return basis.apply_fn(_mode_poisson(basis, s, y), u)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ __all__ = [
     "DIRICHLET",
     "NEUMANN",
     "CoefficientField",
-    "hs_seminorm",
 ]
 
 
@@ -303,27 +302,3 @@ def _eigen_range(faces: Sequence[np.ndarray]) -> tuple[float, float]:
 def _node_points(grid: Grid) -> np.ndarray:
     """Node coordinates as a (num_nodes, dim) array in C order."""
     return np.stack([c.ravel() for c in grid.coords()], axis=1)
-
-
-def hs_seminorm(u: GridFunction, s: float) -> float:
-    """Discrete Gagliardo H^s seminorm.
-
-    Double sum over node pairs of (u(x)-u(z))^2 / |x-z|^(n+2s) weighted by
-    the cell volume squared; zero iff u is constant.  Summed by 256-row
-    blocks, so no N x N temporary is formed.
-    """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0,1), got {s}")
-    grid = u.grid
-    coords = [c.ravel() for c in grid.coords()]
-    vals = u.values.ravel()
-    power = 0.5 * (grid.dim + 2.0 * s)
-    total = 0.0
-    for i in range(0, vals.size, 256):
-        blk = slice(i, i + 256)
-        diff2 = (vals[blk, None] - vals[None, :]) ** 2
-        dist2 = sum((c[blk, None] - c[None, :]) ** 2 for c in coords)
-        rows = np.arange(len(dist2))
-        dist2[rows, i + rows] = 1.0  # diagonal terms vanish in the numerator
-        total += float((diff2 / dist2**power).sum())
-    return grid.cell_volume**2 * total

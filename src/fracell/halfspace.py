@@ -2,15 +2,14 @@
 
 Closed-form solutions of the fractional Dirichlet Laplacian on the half
 line (constant datum for s < 1/2, unit-interval indicator for s >= 1/2),
-reflected Riesz / log kernel integrals by one fixed tanh-sinh rule,
-reflected kernel values, the x_n-only dimensional reduction check, and the
-boundary growth law min(2s, 1).
+reflected Riesz / log kernel integrals by one fixed tanh-sinh rule, the
+reflected half-space kernel, and the boundary growth law min(2s, 1).
 
 Quadrature results carry a unit kernel constant.  The CLI compares them
 with the closed forms by proportionality (ratio constancy, fitted
 constant); with the unit constant the values are known exactly (see
 `closed_form_halfline`), and the tests hold the quadrature to those.  The
-s = 1/2 interior constant 3 ln 3 is fixed after oracle confirmation.
+same rule recomputes the s = 1/2 interior constant, whose value is 3 ln 3.
 """
 
 from __future__ import annotations
@@ -19,17 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grids import (
-    BoundaryCondition,
-    CoefficientField,
-    DIRICHLET,
-    NEUMANN,
-    Grid,
-    GridFunction,
-)
-from .operators import assemble
+from .grids import BoundaryCondition, Grid, GridFunction
 
 __all__ = [
     "HalfLineProblem",
@@ -39,7 +29,6 @@ __all__ = [
     "halfline_inverse_quadrature",
     "closed_form_halfline",
     "interior_log_constant",
-    "reduction_1d_check",
     "boundary_growth_exponent",
 ]
 
@@ -92,11 +81,6 @@ class ReflectedFunction:
 
     def as_grid_function(self) -> GridFunction:
         return GridFunction(self.grid, self.values.copy())
-
-    def parity_defect(self) -> float:
-        m = self.values.shape[0] // 2
-        sign = -1.0 if self.parity == "odd" else 1.0
-        return float(np.abs(self.values[m::-1] - sign * self.values[m:]).max())
 
 
 def reflect(u: GridFunction, parity: str) -> ReflectedFunction:
@@ -238,15 +222,10 @@ def closed_form_halfline(problem: HalfLineProblem, x) -> np.ndarray:
     return 2.0 * x ** (2 * s) + (1 - x) ** (2 * s) - (1 + x) ** (2 * s)
 
 
-def interior_log_constant(numeric: bool = False) -> float:
-    """The s = 1/2 matching constant: int_0^2 (ln|1+w| - ln|1-w|) dw.
-
-    Analytic value 3 ln 3; `numeric=True` recomputes it with the tanh-sinh
-    rule as the confirmation oracle.
-    """
-    if not numeric:
-        return 3.0 * math.log(3.0)
-    # the reflected log kernel at x = 1, integrated over (0, 2)
+def interior_log_constant() -> float:
+    """The s = 1/2 matching constant int_0^2 (ln|1+w| - ln|1-w|) dw = 3 ln 3,
+    recomputed with the tanh-sinh rule (the reflected log kernel at x = 1,
+    integrated over (0, 2)) as the confirmation oracle."""
     return float(_kernel_integral(np.array([1.0]), 2.0, 0.5)[0])
 
 
@@ -255,94 +234,3 @@ def boundary_growth_exponent(s: float) -> float:
     if not 0.0 < s < 1.0:
         raise HalfSpaceError(f"s={s} outside (0,1)")
     return min(2.0 * s, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# dimensional reduction on a strip
-# ---------------------------------------------------------------------------
-
-
-def _mixed_strip_matrix(
-    lateral_nodes: int,
-    vertical_nodes: int,
-    height: float,
-    vertical_bc: BoundaryCondition,
-):
-    """Kron-sum operator on the strip [0,1] x [0,H]: Neumann (periodic
-    surrogate) laterally, `vertical_bc` in the last coordinate.  Returns the
-    dense matrix and the two 1D operators it was built from."""
-    g_lat = Grid((1.0,), (lateral_nodes,))
-    g_ver = Grid((height,), (vertical_nodes,))
-    op_lat = assemble(g_lat, CoefficientField.identity(g_lat), NEUMANN)
-    op_ver = assemble(g_ver, CoefficientField.identity(g_ver), vertical_bc)
-    nl, nv = op_lat.size, op_ver.size
-    M2 = sp.kron(op_lat.matrix, sp.identity(nv)) + sp.kron(
-        sp.identity(nl), op_ver.matrix
-    )
-    return np.asarray(M2.todense()), op_lat, op_ver
-
-
-def reduction_1d_check(
-    phi: GridFunction,
-    s: float,
-    lateral_nodes: int = 12,
-    vertical_bc: BoundaryCondition = DIRICHLET,
-) -> dict:
-    """x_n-only data reduce the strip problem to the 1D one.
-
-    Solves L^s u = g on the 2D strip of unit width with g(x', x_n) =
-    phi(x_n) through a full eigendecomposition of the assembled
-    mixed-boundary operator, and independently solves the 1D problem;
-    reports the max deviation over lateral positions (exact for
-    tensor-product discrete operators).
-    """
-    import scipy.linalg as sla
-
-    from .spectral import _KERNEL_RTOL, _MEAN_RTOL, CompatibilityError, eigendecompose, fractional_solve
-
-    g_ver = phi.grid
-    if g_ver.dim != 1:
-        raise HalfSpaceError("phi must be a 1D profile")
-    M2, op_lat, op_ver = _mixed_strip_matrix(
-        lateral_nodes, g_ver.shape[0], g_ver.extents[0], vertical_bc
-    )
-    nl, nv = op_lat.size, op_ver.size
-
-    phi_active = phi.restrict(op_ver.active_mask)
-    g2 = np.tile(phi_active, nl)
-
-    # independent route: dense eigendecomposition of the assembled strip matrix
-    lam2, V2 = sla.eigh(0.5 * (M2 + M2.T))
-    if vertical_bc.is_dirichlet:
-        if lam2[0] <= 0:
-            raise HalfSpaceError("strip operator lost definiteness")
-    else:
-        scale = max(1.0, lam2[-1])
-        mean = float(np.mean(g2))
-        rms = float(np.sqrt(np.mean(g2**2)))
-        if rms > 0 and abs(mean) > _MEAN_RTOL * rms:  # both routes refuse incompatible data
-            basis1 = eigendecompose(op_ver)
-            try:
-                fractional_solve(basis1, phi, s)
-            except CompatibilityError:
-                return {"rejected": True, "deviation": math.nan}
-            raise HalfSpaceError("1D route accepted what the strip rejected")
-        lam2 = lam2.copy()
-        lam2[np.abs(lam2) <= _KERNEL_RTOL * scale] = 0.0
-
-    c2 = V2.T @ g2
-    pos = lam2 > 0
-    sol2 = V2[:, pos] @ (lam2[pos] ** (-s) * c2[pos])
-    sol2 = sol2.reshape(nl, nv)
-
-    basis1 = eigendecompose(op_ver)
-    u1 = fractional_solve(basis1, phi, s)
-    u1_active = u1.restrict(op_ver.active_mask)
-
-    dev = float(np.abs(sol2 - u1_active[None, :]).max())
-    scale = float(np.abs(u1_active).max())
-    return {
-        "rejected": False,
-        "deviation": dev / scale if scale > 0 else dev,
-        "lateral_nodes": nl,
-    }

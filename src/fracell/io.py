@@ -18,9 +18,7 @@ from .grids import BoundaryCondition, Grid, GridFunction
 __all__ = [
     "fmt",
     "write_field_csv",
-    "read_field_csv",
     "write_grid_json",
-    "read_grid_json",
     "write_eigen_csv",
     "write_eigen_summary",
     "write_eigenvectors",
@@ -53,19 +51,6 @@ def write_field_csv(path, u: GridFunction) -> None:
     Path(path).write_text(",".join([*"ij"[:dim], *"xy"[:dim], "value"]) + "\n" + body, encoding="utf-8")
 
 
-def read_field_csv(path, grid: Grid) -> GridFunction:
-    """Read a field written by `write_field_csv` back onto its grid."""
-    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    vals = np.zeros(grid.shape)
-    for line in rows[1:]:
-        parts = line.split(",")
-        if grid.dim == 1:
-            vals[int(parts[0])] = float(parts[2])
-        else:
-            vals[int(parts[0]), int(parts[1])] = float(parts[4])
-    return GridFunction(grid, vals)
-
-
 def write_grid_json(path, grid: Grid, bc: BoundaryCondition, coefficient: str) -> None:
     payload = {
         "dim": grid.dim,
@@ -75,12 +60,6 @@ def write_grid_json(path, grid: Grid, bc: BoundaryCondition, coefficient: str) -
         "coefficient": coefficient,
     }
     write_report_json(path, payload)
-
-
-def read_grid_json(path) -> tuple[Grid, BoundaryCondition, str]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    grid = Grid(tuple(data["extents"]), tuple(data["nodes"]))
-    return grid, BoundaryCondition(data["bc"]), data["coefficient"]
 
 
 def write_eigen_csv(path, basis) -> None:

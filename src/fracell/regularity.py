@@ -7,8 +7,7 @@ and slope/2 estimates the Holder exponent kappa.  Constants of the
 underlying estimates are never asserted, only recorded.
 
 Modes:
-    "oscillation"  subtract the center value (estimated from the smallest
-                   ball, matching the pointwise Campanato definition)
+    "oscillation"  subtract the per-ball mean
     "linear"       subtract the per-ball best affine function (gradient
                    regimes, exponents in (1, 2))
 """
@@ -26,7 +25,6 @@ from .spectral import EigenBasis, fractional_solve
 __all__ = [
     "CampanatoProbe",
     "ExponentFit",
-    "campanato_seminorm",
     "interior_exponent",
     "boundary_exponent",
     "dirichlet_layer_split",
@@ -58,11 +56,10 @@ def dyadic_radii(grid: Grid, r_max: float | None = None, floor_cells: float = 4.
 
 @dataclass(frozen=True)
 class CampanatoProbe:
-    """Ball family around a center with a decay exponent and a mode."""
+    """Ball family around a center with a mode."""
 
     center: tuple[float, ...]
     radii: tuple[float, ...]
-    alpha: float
     mode: str = "oscillation"
 
     def __post_init__(self):
@@ -109,22 +106,19 @@ def _ball_masks(grid: Grid, center, radii):
     return pts, masks
 
 
-def _ball_integrals(f: GridFunction, probe: CampanatoProbe, pointwise: bool) -> list:
+def _ball_integrals(f: GridFunction, probe: CampanatoProbe) -> list:
     """int_{B_r} |f - c|^2 per probe radius.
 
-    Mode "oscillation" takes for c the mean over each ball, or with
-    `pointwise` the mean over the smallest ball (the seminorm's pointwise
-    definition of f(x0)); mode "linear" subtracts the best affine function
-    per ball instead.
+    Mode "oscillation" takes for c the mean over each ball; mode "linear"
+    subtracts the best affine function per ball instead.
     """
     pts, masks = _ball_masks(f.grid, probe.center, probe.radii)
     vals = f.values.ravel()
-    center_value = float(np.mean(vals[masks[-1]])) if pointwise else None
     integrals = []
     for m in masks:
         v = vals[m]
         if probe.mode == "oscillation":
-            w = v - (float(np.mean(v)) if center_value is None else center_value)
+            w = v - float(np.mean(v))
         else:
             dx = pts[m] - np.asarray(probe.center)[None, :]
             A = np.concatenate([np.ones((dx.shape[0], 1)), dx], axis=1)
@@ -141,16 +135,6 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 
-def campanato_seminorm(f: GridFunction, probe: CampanatoProbe) -> float:
-    """sup_r r^{-(n+2 alpha)} int_{B_r} |f - f(x0)|^2 over the probe radii.
-
-    f(x0) is the average over the smallest ball (the pointwise Campanato
-    definition); mode "linear" subtracts the best affine function instead.
-    """
-    expo = f.grid.dim + 2.0 * probe.alpha
-    return max([0.0] + [i / r**expo for r, i in zip(probe.radii, _ball_integrals(f, probe, True))])
-
-
 def interior_exponent(u: GridFunction, probe: CampanatoProbe) -> ExponentFit:
     """Least-squares slope of log(mean oscillation^2) against log r;
     slope/2 estimates the Holder exponent at the probe center.
@@ -162,7 +146,7 @@ def interior_exponent(u: GridFunction, probe: CampanatoProbe) -> ExponentFit:
     """
     rs = np.asarray(probe.radii)
     n = u.grid.dim
-    osc2 = np.asarray([i / r**n for r, i in zip(probe.radii, _ball_integrals(u, probe, False))])
+    osc2 = np.asarray([i / r**n for r, i in zip(probe.radii, _ball_integrals(u, probe))])
     scale = float(np.max(np.abs(u.values))) ** 2
     floor = 1e-24 * max(scale, 1e-300)
     if np.any(osc2 <= floor):

@@ -34,7 +34,6 @@ __all__ = [
     "QuadratureError",
     "heat_apply",
     "balakrishnan_apply",
-    "heat_kernel",
     "jump_kernel",
     "killing_term",
     "nonlocal_bilinear_form",
@@ -44,8 +43,6 @@ __all__ = [
     "KernelFit",
     "kernel_slope_fit",
     "kernel_log_fit",
-    "gaussian_bound_fit",
-    "boundary_factor_fit",
 ]
 
 
@@ -315,28 +312,14 @@ def balakrishnan_apply(
 # ---------------------------------------------------------------------------
 
 
-_PAIR_ROWS = 64  # rows i of one block of node pairs (i, j > i) in `_pair_blocks`
-
-
-def _pair_blocks(pts: np.ndarray, idx: np.ndarray, held: int, kept: int):
-    """Blocks (i, j, |pts[i] - pts[j]|) of the node pairs i < j from `idx`, _PAIR_ROWS rows i
-    at a time, in upper-triangle order.  The memory check counts `held` floats in use, `kept`
-    floats per pair that the caller keeps, and one block of ~(3 dim + 6) floats per pair."""
-    n = idx.size
-    _check_memory(held + kept * n * (n - 1) // 2 + (3 * pts.shape[1] + 6) * _PAIR_ROWS * n, f"pair distances of {n} nodes")
-    sub, cols = pts[idx], np.arange(n)
-    for lo in range(0, n, _PAIR_ROWS):
-        i, j = np.nonzero(cols[lo : lo + _PAIR_ROWS, None] < cols)  # row by row, j ascending
-        i += lo
-        dist = np.sqrt(np.sum((sub[i] - sub[j]) ** 2, axis=1))
-        yield idx[i], idx[j], dist
+_PAIR_ROWS = 64  # rows i of one block of node pairs (i, j > i) in `KernelMatrix.pair_data`
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric kernel density on active-node pairs.
 
-    kind: "heat" | "jump" | "jump_neumann" | "greens" | "poisson"; params records (s, t, y).
+    kind: "jump" | "jump_neumann" | "greens" | "poisson"; params records (s, y).
     """
 
     basis: EigenBasis
@@ -381,27 +364,28 @@ class KernelMatrix:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(distance, value) arrays over unordered interior node pairs with
         r_min <= |x-z| <= r_max, both endpoints at least `interior_margin`
-        from the box boundary, in upper-triangle order; the memory check
-        counts every pair kept, in its blocks and their concatenation."""
+        from the box boundary, in upper-triangle order.  The pairs are walked
+        _PAIR_ROWS rows i at a time; the memory check counts the kernel, 4
+        floats per kept pair (its blocks and their concatenation) and one
+        block of ~(3 dim + 6) floats per pair."""
         pts = self.active_coords()
         ok = np.ones(len(pts), dtype=bool)
         for d in range(self.grid.dim):
             lo, hi = interior_margin, self.grid.extents[d] - interior_margin
             ok &= (pts[:, d] >= lo) & (pts[:, d] <= hi)
+        idx = np.flatnonzero(ok)
+        n = idx.size
+        _check_memory(self.entries.size + 4 * n * (n - 1) // 2 + (3 * pts.shape[1] + 6) * _PAIR_ROWS * n, f"pair distances of {n} nodes")
+        sub, cols = pts[idx], np.arange(n)
         dist, vals = [np.empty(0)], [np.empty(0)]
-        for i, j, r in _pair_blocks(pts, np.flatnonzero(ok), self.entries.size, 4):
+        for lo in range(0, n, _PAIR_ROWS):
+            i, j = np.nonzero(cols[lo : lo + _PAIR_ROWS, None] < cols)  # row by row, j ascending
+            i += lo
+            r = np.sqrt(np.sum((sub[i] - sub[j]) ** 2, axis=1))
             keep = (r >= r_min) & (r <= r_max)
             dist.append(r[keep])
-            vals.append(self.entries[i[keep], j[keep]])
+            vals.append(self.entries[idx[i[keep]], idx[j[keep]]])
         return np.concatenate(dist), np.concatenate(vals)
-
-
-def heat_kernel(basis: EigenBasis, t: float) -> KernelMatrix:
-    """Heat kernel density W_t = sum_k e^{-t lam_k} phi_k(x) phi_k(z)."""
-    if t <= 0:
-        raise ValueError(f"heat kernel needs t > 0, got {t}")
-    W = basis.kernel(lambda lam: np.exp(-t * lam))
-    return KernelMatrix(basis, "heat", W, {"t": t})
 
 
 def jump_kernel(basis: EigenBasis, s: float, q: SingularQuadrature) -> KernelMatrix:
@@ -591,86 +575,3 @@ def kernel_log_fit(
         raise ValueError("not enough interior pairs for a log fit")
     slope, intercept, rmse, r2 = _linear_fit(np.log(1.0 / dist), vals)
     return KernelFit(kernel.kind, kernel.params.get("s"), slope, intercept, rmse, r2, dist.size)
-
-
-def gaussian_bound_fit(basis: EigenBasis, t_list) -> dict:
-    """Fit the Gaussian envelope W_t(x,z) <= C e^{-|x-z|^2/(c t)} / t^{n/2}.
-
-    Only the upper envelope matters for the bound, so ln(W t^{n/2}) is
-    binned by xi = |x-z|^2/t and a line is fitted through the per-bin
-    maxima; its slope gives c.  C is then the max over the whole sweep of
-    W t^{n/2} e^{|x-z|^2/(c t)}, so the bound holds on the sweep by
-    construction and the report records (C, c, envelope fit quality).
-
-    The pairs are those at least one cell apart with both ends ext/8 from
-    the box boundary, binned into 24 bins.  xi <= 40 caps the sweep to the
-    diffusive regime: far outside it the lattice kernel has polynomial (not
-    Gaussian) tails and no continuum bound is being probed.
-    """
-    grid = basis.grid
-    n = grid.dim
-    ext = min(grid.extents)
-    xs, ys = [], []
-    for t in t_list:
-        W = heat_kernel(basis, t)
-        dist, vals = W.pair_data(max(grid.spacing), ext, ext / 8.0)
-        keep = (vals > 1e-300) & (dist**2 / t <= 40.0)
-        xs.append(dist[keep] ** 2 / t)
-        ys.append(np.log(vals[keep] * t ** (n / 2.0)))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    edges = np.linspace(x.min(), x.max(), 25)
-    xb, yb = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sel = (x >= lo) & (x < hi)
-        if sel.sum() == 0:
-            continue
-        xb.append(0.5 * (lo + hi))
-        yb.append(y[sel].max())
-    xb = np.array(xb)
-    yb = np.array(yb)
-    slope, intercept, rmse, r2 = _linear_fit(xb, yb)
-    if slope >= 0:
-        raise ValueError("no Gaussian decay detected in the sweep")
-    c = -1.0 / slope
-    C = float(np.exp((y + x / c).max()))
-    return {
-        "C": C,
-        "c": c,
-        "rmse": rmse,
-        "r2": r2,
-        "points": int(x.size),
-        "bins": int(xb.size),
-        "t_list": [float(t) for t in t_list],
-    }
-
-
-def boundary_factor_fit(kernel: KernelMatrix, phi0: GridFunction) -> dict:
-    """Fitted constant for the eigenfunction-weighted near-boundary decay:
-
-        K(x,z) |x-z|^(n+2s) <= C min(1, phi0(x) phi0(z) / |x-z|^2)
-
-    with a single effective exponent (the paper-level eta/rho pair is not
-    identifiable from the data); report-only.
-    """
-    basis = kernel.basis
-    s = kernel.params["s"]
-    grid = kernel.grid
-    n = grid.dim
-    h = max(grid.spacing)
-    pts = kernel.active_coords()
-    p0 = phi0.restrict(basis.active_mask)
-    ratios = [np.empty(0)]  # the ratio blocks, their concatenation and the median's copy: 3 floats a pair
-    for i, j, dist in _pair_blocks(pts, np.arange(len(pts)), kernel.entries.size, 3):
-        vals, pp = kernel.entries[i, j], p0[i] * p0[j]
-        keep = (dist >= 2 * h) & (vals > 0)
-        dist, vals, pp = dist[keep], vals[keep], pp[keep]
-        ratios.append(vals * dist ** (n + 2 * s) / np.minimum(1.0, pp / dist**2))
-    ratio = np.concatenate(ratios)
-    return {
-        "kind": kernel.kind,
-        "s": s,
-        "fitted_constant": float(ratio.max()),
-        "median_ratio": float(np.median(ratio)),
-        "pairs_used": int(ratio.size),
-    }

@@ -202,7 +202,7 @@ def test_criterion_5_halfline_closed_forms():
     c2 = closed_form_halfline(p2, xs)
     cfit = float(np.dot(v2, c2) / np.dot(c2, c2))
     resid = float(np.abs(v2 - cfit * c2).max() / np.abs(v2).max())
-    const_err = abs(interior_log_constant(numeric=True) - 3.0 * math.log(3.0))
+    const_err = abs(interior_log_constant() - 3.0 * math.log(3.0))
 
     ok = (
         abs(slope - 0.5) <= 1e-3
@@ -308,9 +308,7 @@ def test_criterion_8_regularity_exponents():
     for alpha, s in [(0.2, 0.25), (0.3, 0.3)]:
         f = GridFunction.from_callable(fine, lambda x: np.abs(x - 0.5) ** alpha)
         u = fractional_solve_sine(fine, f, s)
-        probe = CampanatoProbe(
-            (0.5,), tuple(dyadic_radii(fine, 0.03125, floor_cells=30)), alpha=alpha
-        )
+        probe = CampanatoProbe((0.5,), tuple(dyadic_radii(fine, 0.03125, floor_cells=30)))
         fit = interior_exponent(u, probe)
         err = abs(fit.exponent - (alpha + 2 * s))
         ok = ok and err <= 0.1
@@ -319,7 +317,7 @@ def test_criterion_8_regularity_exponents():
     s, p = 0.75, 3.0
     u = fractional_solve_sine(fine, lp_spike(fine, (0.5,), p), s)
     probe = CampanatoProbe(
-        (0.5,), tuple(dyadic_radii(fine, 0.03125, floor_cells=30)), 0.0, mode="linear"
+        (0.5,), tuple(dyadic_radii(fine, 0.03125, floor_cells=30)), mode="linear"
     )
     fit = interior_exponent(u, probe)
     err = abs(fit.exponent - (2 * s - 1.0 / p))

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from fracell import CoefficientField, DIRICHLET, Grid, GridFunction, assemble, eigendecompose
+from fracell import CoefficientField, DIRICHLET, Grid, GridFunction, assemble, eigendecompose, greens_function
 from fracell.io import fmt, write_field_csv, write_kernel_csv
-from fracell.semigroup import heat_kernel
 
 
 def _kernel_2d(n):
     g = Grid((1.0, 1.0), (n, n))
     op = assemble(g, CoefficientField.from_callable(g, lambda x, y: 1.0 + 0.5 * np.sin(2 * np.pi * x)), DIRICHLET)
-    return heat_kernel(eigendecompose(op), 0.01)
+    return greens_function(eigendecompose(op), 0.5)
 
 
 def _joined_kernel_csv(kernel) -> str:

@@ -1,7 +1,5 @@
 """Property-based checks of the structural invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +14,6 @@ from fracell import (
     eigendecompose,
     fractional_apply,
     heat_apply,
-    hs_seminorm,
     l2_norm,
 )
 from fracell.halfspace import reflect
@@ -36,26 +33,6 @@ def _interior(vals):
     out = np.array(vals, dtype=float)
     out[0] = out[-1] = 0.0
     return GridFunction(GRID, out)
-
-
-@settings(max_examples=25, deadline=None)
-@given(field_values, field_values)
-def test_seminorm_triangle_inequality(a, b):
-    u, v = GridFunction(GRID, a), GridFunction(GRID, b)
-    su = math.sqrt(hs_seminorm(u, 0.5))
-    sv = math.sqrt(hs_seminorm(v, 0.5))
-    suv = math.sqrt(hs_seminorm(u + v, 0.5))
-    assert suv <= su + sv + 1e-9 * (1.0 + su + sv)
-
-
-@settings(max_examples=25, deadline=None)
-@given(field_values)
-def test_seminorm_shift_invariance(a):
-    u = GridFunction(GRID, a)
-    shifted = GridFunction(GRID, np.asarray(a) + 3.25)
-    assert hs_seminorm(shifted, 0.4) == pytest.approx(
-        hs_seminorm(u, 0.4), rel=1e-9, abs=1e-9
-    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,8 +68,9 @@ def test_reflection_parity_exact(a):
     vals = np.array(a)
     vals[0] = 0.0
     u = GridFunction(GRID, vals)
-    assert reflect(u, "odd").parity_defect() == 0.0
-    assert reflect(GridFunction(GRID, np.array(a)), "even").parity_defect() == 0.0
+    odd, even = reflect(u, "odd").values, reflect(GridFunction(GRID, np.array(a)), "even").values
+    assert np.array_equal(odd[N - 1 :: -1], -odd[N - 1 :])
+    assert np.array_equal(even[N - 1 :: -1], even[N - 1 :])
 
 
 PROBE_GRID = Grid((1.0,), (129,))
@@ -106,9 +84,7 @@ def test_campanato_slopes_scale_invariant(a, c):
 
     vals = np.array(a) + np.linspace(0, 1, 129) ** 2  # ensure nonconstant
     u = GridFunction(PROBE_GRID, vals)
-    probe = CampanatoProbe(
-        (0.5,), tuple(dyadic_radii(PROBE_GRID, 0.25, floor_cells=4.0)), 0.3
-    )
+    probe = CampanatoProbe((0.5,), tuple(dyadic_radii(PROBE_GRID, 0.25, floor_cells=4.0)))
     f1 = interior_exponent(u, probe)
     f2 = interior_exponent(c * u, probe)
     if not (f1.saturated or f2.saturated):

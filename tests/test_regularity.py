@@ -14,7 +14,6 @@ from fracell.regularity import (
     CampanatoProbe,
     ProbeError,
     boundary_exponent,
-    campanato_seminorm,
     dirichlet_layer_split,
     dyadic_radii,
     harnack_quotient,
@@ -35,47 +34,16 @@ def fine_grid():
 # ---------------------------------------------------------------------------
 
 
-def test_seminorm_constant_vanishes():
-    g = Grid((1.0,), (129,))
-    probe = CampanatoProbe((0.5,), tuple(dyadic_radii(g, 0.25)), alpha=0.3)
-    assert campanato_seminorm(GridFunction.ones(g) * 2.5, probe) <= 1e-24
-
-
-def test_seminorm_power_profile_regimes():
-    g = Grid((2.0,), (2049,))
-    beta = 0.6
-    u = GridFunction.from_callable(g, lambda x: np.abs(x - 1.0) ** beta)
-    radii = tuple(dyadic_radii(g, 0.25))
-    # alpha < beta: finite and dominated by the largest radius
-    lo = CampanatoProbe((1.0,), radii, alpha=0.3)
-    v1 = campanato_seminorm(u, lo)
-    assert np.isfinite(v1) and v1 > 0
-    # alpha > beta: the small radii dominate (grows like r^{2(beta-alpha)})
-    hi = CampanatoProbe((1.0,), radii, alpha=0.9)
-    per_radius = [
-        campanato_seminorm(u, CampanatoProbe((1.0,), radii[k : k + 4], alpha=0.9))
-        for k in range(len(radii) - 4)
-    ]
-    assert per_radius[-1] > per_radius[0]
-
-
-def test_seminorm_affine_linear_mode():
-    g = Grid((1.0,), (257,))
-    u = GridFunction.from_callable(g, lambda x: 3.0 * x - 1.0)
-    probe = CampanatoProbe((0.5,), tuple(dyadic_radii(g, 0.125)), 0.3, mode="linear")
-    assert campanato_seminorm(u, probe) <= 1e-20
-
-
 def test_probe_validation():
     g = Grid((1.0,), (129,))
     with pytest.raises(ProbeError):
-        CampanatoProbe((0.5,), (0.2, 0.1, 0.05), alpha=0.3)  # too few radii
+        CampanatoProbe((0.5,), (0.2, 0.1, 0.05))  # too few radii
     with pytest.raises(ProbeError):
-        CampanatoProbe((0.5,), (0.1, 0.2, 0.05, 0.01), alpha=0.3)  # not decreasing
-    probe = CampanatoProbe((0.9,), tuple(dyadic_radii(g, 0.25)), alpha=0.3)
+        CampanatoProbe((0.5,), (0.1, 0.2, 0.05, 0.01))  # not decreasing
+    probe = CampanatoProbe((0.9,), tuple(dyadic_radii(g, 0.25)))
     u = GridFunction.ones(g)
-    with pytest.raises(ProbeError):
-        campanato_seminorm(u, probe)  # largest ball exits the grid
+    with pytest.raises(ProbeError, match="largest ball exits the grid"):
+        interior_exponent(u, probe)
 
 
 def test_self_calibration_gate():
@@ -84,9 +52,7 @@ def test_self_calibration_gate():
     g = Grid((2.0,), (FINE,))
     for s in (0.15, 0.25, 0.4):
         u = GridFunction.from_callable(g, lambda x: np.abs(x - 1.0) ** (2 * s))
-        probe = CampanatoProbe(
-            (1.0,), tuple(dyadic_radii(g, 0.0625, floor_cells=30)), alpha=0.3
-        )
+        probe = CampanatoProbe((1.0,), tuple(dyadic_radii(g, 0.0625, floor_cells=30)))
         fit = interior_exponent(u, probe)
         assert abs(fit.exponent - 2 * s) <= 0.02
 
@@ -94,9 +60,7 @@ def test_self_calibration_gate():
 def test_exponent_fits_scale_invariant(fine_grid):
     f = GridFunction.from_callable(fine_grid, lambda x: np.abs(x - 0.5) ** 0.2)
     u = fractional_solve_sine(fine_grid, f, 0.25)
-    probe = CampanatoProbe(
-        (0.5,), tuple(dyadic_radii(fine_grid, 0.03125, floor_cells=30)), alpha=0.2
-    )
+    probe = CampanatoProbe((0.5,), tuple(dyadic_radii(fine_grid, 0.03125, floor_cells=30)))
     f1 = interior_exponent(u, probe)
     f2 = interior_exponent(173.0 * u, probe)
     assert f2.slope == pytest.approx(f1.slope, abs=1e-12)
@@ -106,7 +70,7 @@ def test_exponent_fits_scale_invariant(fine_grid):
 def test_affine_saturates_at_ceiling():
     g = Grid((1.0,), (513,))
     u = GridFunction.from_callable(g, lambda x: 2.0 * x + 1.0)
-    probe = CampanatoProbe((0.5,), tuple(dyadic_radii(g, 0.125)), 0.3, mode="linear")
+    probe = CampanatoProbe((0.5,), tuple(dyadic_radii(g, 0.125)), mode="linear")
     fit = interior_exponent(u, probe)
     assert fit.saturated
     assert fit.exponent >= 2.0
@@ -121,9 +85,7 @@ def test_interior_exponent_calpha(fine_grid):
     for alpha, s in [(0.2, 0.25), (0.3, 0.3)]:
         f = GridFunction.from_callable(fine_grid, lambda x: np.abs(x - 0.5) ** alpha)
         u = fractional_solve_sine(fine_grid, f, s)
-        probe = CampanatoProbe(
-            (0.5,), tuple(dyadic_radii(fine_grid, 0.03125, floor_cells=30)), alpha=alpha
-        )
+        probe = CampanatoProbe((0.5,), tuple(dyadic_radii(fine_grid, 0.03125, floor_cells=30)))
         fit = interior_exponent(u, probe)
         assert abs(fit.exponent - (alpha + 2 * s)) <= 0.1
 
@@ -135,7 +97,6 @@ def test_interior_exponent_lp(fine_grid):
     probe = CampanatoProbe(
         (0.5,),
         tuple(dyadic_radii(fine_grid, 0.03125, floor_cells=30)),
-        alpha=0.0,
         mode="linear",
     )
     fit = interior_exponent(u, probe)

@@ -15,7 +15,6 @@ from fracell import (
     fractional_apply,
     greens_function,
     heat_apply,
-    heat_kernel,
     jump_kernel,
     killing_term,
     l2_inner,
@@ -30,8 +29,6 @@ from fracell.semigroup import (
     _mode_balakrishnan,
     _mode_greens_quadrature,
     _mode_poisson,
-    boundary_factor_fit,
-    gaussian_bound_fit,
     greens_route_agreement,
     kernel_log_fit,
     kernel_slope_fit,
@@ -355,31 +352,13 @@ def test_stacked_resolvent_gate_trips_on_one_node(op_variable, basis_variable, r
 # ---------------------------------------------------------------------------
 
 
-def test_heat_kernel_contract(basis_dirichlet, basis_neumann):
-    W = heat_kernel(basis_dirichlet, 0.01)
-    assert W.symmetry_defect() <= 1e-10
-    assert W.min_entry() >= -1e-10 * np.abs(W.entries).max()
-    rows = W.row_integrals()
-    assert rows.min() >= -1e-10 and rows.max() <= 1.0 + 1e-10
-    for t in (0.01, 0.1, 1.0):
-        WN = heat_kernel(basis_neumann, t)
-        assert np.abs(WN.row_integrals() - 1.0).max() <= 1e-8
-
-
 def test_symmetry_defect_by_tiles_equals_the_full_transpose(basis_dirichlet):
     # 600 rows: three tile rows, the last one partial
     rng = np.random.default_rng(5)
     A = rng.standard_normal((600, 600))
     A = A + A.T + 1e-9 * rng.standard_normal((600, 600))
-    K = KernelMatrix(basis_dirichlet, "heat", A)
+    K = KernelMatrix(basis_dirichlet, "jump", A)
     assert K.symmetry_defect() == np.abs(A - A.T).max() / np.abs(A).max()
-
-
-def test_gaussian_upper_bound_fit(basis_dirichlet):
-    rep = gaussian_bound_fit(basis_dirichlet, [0.0005, 0.001, 0.002, 0.004])
-    assert rep["r2"] >= 0.99
-    assert 2.0 <= rep["c"] <= 8.0  # continuum diffusive constant is 4
-    assert np.isfinite(rep["C"]) and rep["C"] > 0
 
 
 def test_jump_kernel_contract(basis_dirichlet, quad_half):
@@ -425,13 +404,6 @@ def test_kernel_permutation_equivariance():
     G = greens_function(basis, 0.5).entries
     GP = G[::-1, :][:, ::-1]
     assert np.abs(G - GP).max() <= 1e-9 * np.abs(G).max()
-
-
-def test_boundary_factor_fit_reports(basis_dirichlet, quad_half):
-    K = jump_kernel(basis_dirichlet, 0.5, quad_half)
-    rep = boundary_factor_fit(K, basis_dirichlet.eigenfunction(0))
-    assert np.isfinite(rep["fitted_constant"])
-    assert rep["pairs_used"] > 100
 
 
 def test_killing_term_contract(basis_dirichlet, basis_neumann, quad_half):
@@ -562,13 +534,13 @@ def test_poisson_kernel_matches_extension(basis_dirichlet):
     assert np.abs(via_kernel - fd).max() / scale <= 1e-2
 
 
-def test_boundary_factor_fit_checks_available_memory(basis_dirichlet, quad_half, monkeypatch):
+def test_pair_data_checks_available_memory(basis_dirichlet, quad_half, monkeypatch):
     from fracell import spectral
 
     K = jump_kernel(basis_dirichlet, 0.5, quad_half)
     monkeypatch.setattr(spectral, "_available_bytes", lambda: 8.0 * K.entries.size)
     with pytest.raises(spectral.DenseMemoryError, match="pair distances"):
-        boundary_factor_fit(K, basis_dirichlet.eigenfunction(0))
+        K.pair_data(0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +589,7 @@ def test_pair_data_is_the_all_pairs_walk(window):
     # the row blocks return the pairs, distances and values of one upper-triangle walk, in its order
     g = Grid((1.0, 1.0), (24, 24))
     basis = eigendecompose(assemble(g, CoefficientField.identity(g), DIRICHLET))
-    K = heat_kernel(basis, 0.01)
+    K = greens_function(basis, 0.5)
     r_min, r_max = 2 * g.spacing[0], 0.25
     margin = window.get("interior_margin", 0.25)
     pts = K.active_coords()
@@ -628,20 +600,6 @@ def test_pair_data_is_the_all_pairs_walk(window):
     got = K.pair_data(r_min, r_max, margin)
     assert np.array_equal(got[0], dist[keep]) and np.array_equal(got[1], K.entries[i[keep], j[keep]])
     assert keep.sum() > 1000
-
-
-def test_boundary_factor_fit_is_the_all_pairs_ratio(basis_dirichlet, quad_half):
-    # the row blocks give the ratios of one all-pairs table, so its max and median to the bit
-    K = jump_kernel(basis_dirichlet, 0.5, quad_half)
-    phi0 = basis_dirichlet.eigenfunction(0).restrict(basis_dirichlet.active_mask)
-    pts, h, n = K.active_coords(), max(K.grid.spacing), K.grid.dim
-    i, j = np.triu_indices(len(pts), k=1)
-    dist, vals, pp = np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1)), K.entries[i, j], phi0[i] * phi0[j]
-    keep = (dist >= 2 * h) & (vals > 0)
-    ratio = vals[keep] * dist[keep] ** (n + 1.0) / np.minimum(1.0, pp[keep] / dist[keep] ** 2)
-    rep = boundary_factor_fit(K, basis_dirichlet.eigenfunction(0))
-    assert rep["pairs_used"] == ratio.size > 0
-    assert rep["fitted_constant"] == float(ratio.max()) and rep["median_ratio"] == float(np.median(ratio))
 
 
 def test_jump_kernel_fit_peaks_near_the_kernel_itself(basis_40):
