@@ -17,7 +17,7 @@ from .grids import (
     l2_inner,
     l2_norm,
 )
-from .operators import DiscreteOperator, assemble, apply
+from .operators import DiscreteOperator, assemble
 from .spectral import (
     EigenBasis,
     eigendecompose,
@@ -61,7 +61,6 @@ __all__ = [
     "l2_norm",
     "DiscreteOperator",
     "assemble",
-    "apply",
     "EigenBasis",
     "eigendecompose",
     "fractional_apply",

@@ -55,6 +55,7 @@ class ExtensionError(ValueError):
 
 
 _FLUSH_BELOW = float(np.finfo(float).tiny)  # `_y_solve` zeroes subnormal solution entries
+_LID_DECAY = 1e-8  # the default lid height Y has K_s(sqrt(lam0) Y) below this
 
 
 def dtn_constant_intro(s: float) -> float:
@@ -92,16 +93,16 @@ def bessel_k(nu: float, x: float) -> float:
     return float(val)
 
 
-def _decay_height(s: float, lam0: float, tol: float = 1e-8) -> float:
-    """Smallest Y with K_s(sqrt(lam0) Y) < tol (truncation-lid rule)."""
+def _decay_height(s: float, lam0: float) -> float:
+    """Smallest Y with K_s(sqrt(lam0) Y) < _LID_DECAY (truncation-lid rule)."""
     from scipy.special import kve
 
     w_lo, w_hi = 1e-3, 4.0
-    while kve(s, w_hi) * math.exp(-w_hi) >= tol:
+    while kve(s, w_hi) * math.exp(-w_hi) >= _LID_DECAY:
         w_lo, w_hi = w_hi, 2.0 * w_hi
     for _ in range(80):
         mid = 0.5 * (w_lo + w_hi)
-        if kve(s, mid) * math.exp(-mid) >= tol:
+        if kve(s, mid) * math.exp(-mid) >= _LID_DECAY:
             w_lo = mid
         else:
             w_hi = mid

@@ -205,14 +205,11 @@ class CoefficientField:
     (nx, ny-1, 2, 2) at y-faces.
     `eigen_range` holds the exact smallest and largest eigenvalue over all
     face samples; a field whose smallest one is not positive is refused
-    here, so no consumer checks ellipticity again.  Lambda1/Lambda2 are the
-    declared ellipticity constants and default to `eigen_range`.
+    here, so no consumer checks ellipticity again.
     """
 
     grid: Grid
     faces: tuple[np.ndarray, ...]
-    lambda1: float | None = None
-    lambda2: float | None = None
     eigen_range: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
@@ -237,18 +234,13 @@ class CoefficientField:
             raise GridError("coefficient field is not positive definite on samples")
         object.__setattr__(self, "faces", tuple(faces))
         object.__setattr__(self, "eigen_range", (lo, hi))
-        object.__setattr__(self, "lambda1", lo if self.lambda1 is None else self.lambda1)
-        object.__setattr__(self, "lambda2", hi if self.lambda2 is None else self.lambda2)
-        if self.lambda1 <= 0 or self.lambda2 < self.lambda1:
-            raise GridError("ellipticity constants must satisfy 0 < Lambda1 <= Lambda2")
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable) -> "CoefficientField":
         """Sample a matrix-valued callable A(x[, y]) at face midpoints.
 
         The callable may return a scalar (isotropic), which is promoted to
-        a multiple of the identity.  The declared constants are the sampled
-        eigenvalue extremes.
+        a multiple of the identity.
         """
         d = grid.dim
         faces = []
@@ -285,7 +277,9 @@ class CoefficientField:
 
 def _eigen_range(faces: Sequence[np.ndarray]) -> tuple[float, float]:
     """Smallest and largest eigenvalue over all symmetric face samples: the
-    scalar itself in 1D, (a+c)/2 -+ hypot((a-c)/2, b) for [[a, b], [b, c]]."""
+    scalar itself in 1D; for [[a, b], [b, c]] the larger is hi = mid + rad, mid = (a+c)/2,
+    rad = hypot((a-c)/2, b), and the smaller (ac - b^2) / hi, taken as a (c/hi) - b (b/hi):
+    free of the cancellation in mid - rad and of overflow in ac."""
 
     def entries(i, j):
         return np.concatenate([arr[..., i, j].ravel() for arr in faces])
@@ -295,7 +289,9 @@ def _eigen_range(faces: Sequence[np.ndarray]) -> tuple[float, float]:
     else:
         a, b, c = entries(0, 0), entries(0, 1), entries(1, 1)
         mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
-        lo, hi = mid - rad, mid + rad
+        hi = mid + rad
+        with np.errstate(divide="ignore", invalid="ignore"):  # hi = 0: a zero sample, nan, refused
+            lo = a * (c / hi) - b * (b / hi)
     return float(lo.min()), float(hi.max())
 
 

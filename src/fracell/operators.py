@@ -27,7 +27,7 @@ from .grids import (
     GridError,
 )
 
-__all__ = ["DiscreteOperator", "assemble", "apply"]
+__all__ = ["DiscreteOperator", "assemble"]
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,3 @@ def assemble(grid: Grid, A: CoefficientField, bc: BoundaryCondition) -> Discrete
     M = _stiffness(grid, A, bc)
     M.data *= 1.0 / grid.cell_volume  # by the reciprocal, as `csr / scalar` does: the bits of M / cell_volume
     return DiscreteOperator(grid, bc, A, M)
-
-
-def apply(op: DiscreteOperator, u: GridFunction) -> GridFunction:
-    """Matrix-vector product M u, returned as a full grid function."""
-    if u.grid != op.grid:
-        raise GridError("operand lives on a different grid")
-    return op.embed(op.matrix @ op.restrict(u))

@@ -45,8 +45,8 @@ class DenseMemoryError(SpectralError):
     """Eigenvector or kernel arrays that would not fit in the available memory."""
 
 
-_RESIDUAL_TOL = 1e-8  # eigenpair residual gate, relative to max(lambda_max, 1)
-_KERNEL_RTOL = 1e-10  # a Neumann eigenvalue this small relative to max(lambda_max, 1) is the kernel's 0
+_RESIDUAL_TOL = 1e-8  # eigenpair residual gate, relative to lambda_max
+_KERNEL_RTOL = 1e-10  # a Neumann eigenvalue this small relative to lambda_max is the kernel's 0
 _MEAN_RTOL = 1e-10  # a Neumann datum with |mean| above this times its RMS is incompatible
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
@@ -155,8 +155,10 @@ class EigenBasis:
             yield i, rows
 
     def residual(self, op: DiscreteOperator) -> float:
-        """max_k ||M phi_k - lambda_k phi_k||_2 over the active nodes, built
-        from at most 256 eigenvectors of one y-mode block at a time."""
+        """max_k ||(M - lambda_k) v_k||_2 / sqrt(w1) over the active nodes, v_k the
+        l2-unit eigenvector and w1 the cell volume of the same node counts on the unit
+        box, so residual / lambda_max is free of the unit of length and of the scale of A.
+        Built from at most 256 eigenvectors of one y-mode block at a time."""
         lam = self._blocks(self.eigenvalues)
         worst = 0.0
         for j in range(self.Q.shape[0]):
@@ -166,7 +168,7 @@ class EigenBasis:
                 V *= lam[j, c : c + 256]
                 R -= V
                 worst = max(worst, float(np.einsum("ik,ik->k", R, R).max()))
-        return math.sqrt(worst / self.weight)
+        return math.sqrt(worst / _unit_cell_volume(self.grid))
 
     def orthonormality_defect(self) -> float:
         """max |weight * phi^T phi - I|: exact within a y-mode block, and for
@@ -225,7 +227,8 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
     `eigh` (divide and conquer) if its dense copies fit in the available memory.
 
     Eigenvectors are rescaled to discrete L2 orthonormality.  Raises with
-    residual diagnostics if the decomposition fails the quality gates.
+    residual diagnostics unless the residual (or its certificate) is at most
+    _RESIDUAL_TOL lambda_max, a gate free of the unit of length.
     For Neumann the (round-off sized) lowest eigenvalue is clamped to zero
     and the first eigenvector to the exact constant sign convention; for
     Dirichlet the first eigenvector is flipped positive in the interior.
@@ -269,8 +272,7 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
         if lam[0] <= 0:
             raise SpectralError(f"Dirichlet operator not positive definite: lambda0={lam[0]}")
     else:
-        scale = max(1.0, lam[-1])
-        if abs(lam[0]) > _KERNEL_RTOL * scale:
+        if abs(lam[0]) > _KERNEL_RTOL * lam[-1]:
             raise SpectralError(f"Neumann kernel eigenvalue too large: {lam[0]}")
         lam = lam.copy()
         lam[0] = 0.0
@@ -284,10 +286,14 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
 
     basis = EigenBasis(op.grid, op.bc, op.grid.active_mask(op.bc), lam, Q, X, order, w)
     res = basis.residual(op) if factors is None else _factor_residual(basis, op, factors)
-    scale = max(basis.lambda_max, 1.0)
-    if res > _RESIDUAL_TOL * scale:
+    if res > _RESIDUAL_TOL * basis.lambda_max:
         raise SpectralError(f"eigensolver residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e}*lambda_max")
     return basis
+
+
+def _unit_cell_volume(grid: Grid) -> float:
+    """Cell volume of the grid's node counts on the unit box: the residual's scale."""
+    return math.prod(1 / (n - 1) for n in grid.shape)
 
 
 def _line_eigenpairs(d: np.ndarray, e: np.ndarray, dirichlet: bool):
@@ -357,7 +363,7 @@ def _factor_residual(basis: EigenBasis, op: DiscreteOperator, factors) -> float:
         bound = np.sqrt(np.einsum("jkx,jkx->jk", R, R)) * qn
         bound += np.sqrt(np.einsum("jkx,jkx->jk", X, X)) * x_coef
         worst = max(worst, bound.max())
-    return float(worst) / math.sqrt(basis.weight)
+    return float(worst) / math.sqrt(_unit_cell_volume(basis.grid))
 
 
 def _check_power(s: float, include_one: bool) -> None:

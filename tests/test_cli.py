@@ -506,6 +506,14 @@ def test_bad_spec_is_a_named_config_error(tmp_path, capsys, args, key):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize(
+    "args", [["--dim=2", "--nodes=24", "--extent=1e-6"], ["--nodes=1025", "--extent=1e-12"], ["--dim=2", "--nodes=9", "--coeff=diag:1e-17,1"]]
+)
+def test_small_boxes_and_weak_directions_pass(tmp_path, args):
+    # a gate relative to lambda_max does not see the unit of length; a 1e-17 eigenvalue is read exactly
+    assert main(["solve", *args, f"--out={tmp_path}"]) == 0
+
+
 def test_2d_extension_field_export_is_refused_before_any_decomposition(tmp_path, capsys, monkeypatch):
     from fracell import cli
 
@@ -671,7 +679,7 @@ def _request(draw):
 
 @given(case=_request())
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-# tracebacks that a wider search found: each is a named config error now
+# tracebacks that a wider search found: each is a named config error or a pass now
 @example(case=("kernel", {"s": "1e-9"}))
 @example(case=("kernel", {"s": "0.999999999"}))
 @example(case=("kernel", {"kind": "greens", "s": "0.01"}))

@@ -10,7 +10,6 @@ from fracell import (
     NEUMANN,
     Grid,
     GridFunction,
-    apply,
     assemble,
     eigendecompose,
     fractional_apply,
@@ -75,7 +74,7 @@ def test_fractional_apply_eigenfunction(basis_dirichlet):
 def test_fractional_apply_power_one(basis_dirichlet, op_dirichlet, rng):
     u = random_dirichlet_field(op_dirichlet, rng)
     a = fractional_apply(basis_dirichlet, u, 1.0)
-    b = apply(op_dirichlet, u)
+    b = op_dirichlet.embed(op_dirichlet.matrix @ op_dirichlet.restrict(u))
     assert l2_norm(a - b) <= 1e-6 * l2_norm(b)
 
 
@@ -437,6 +436,61 @@ def test_factor_certificate_trips_on_a_perturbed_closed_form_eigenvalue(shape, m
 
     monkeypatch.setattr(spectral, "_line_eigenpairs", top_scaled)
     with pytest.raises(SpectralError, match="residual"):
+        eigendecompose(op)
+
+
+def _scaled(shape, coeff, bc, extent):
+    # the unit box's coefficient samples on a box of side `extent`: x -> extent x
+    unit = Grid((1.0,) * len(shape), shape)
+    A = _rotated(unit) if coeff == "cross" else _coefficient(unit, coeff)
+    g = Grid((extent,) * len(shape), shape)
+    return assemble(g, CoefficientField(g, A.faces), bc)
+
+
+@pytest.mark.parametrize("shape, coeff", [((65,), "identity"), ((65,), "sine"), ((13, 11), "identity"), ((13, 11), "sine"), ((20, 20), "cross")], ids=str)
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN], ids=["dirichlet", "neumann"])
+def test_eigen_gate_is_free_of_the_unit_of_length(shape, coeff, bc):
+    # M scales as extent^-2, so residual / lambda_max (and the certificate the gate reads) may differ by rounding only
+    ratios = []
+    for extent in (1e-6, 1.0, 1e6):
+        op = _scaled(shape, coeff, bc, extent)
+        basis, factors = eigendecompose(op), _kronecker_factors(op)
+        assert (factors is None) == (coeff == "cross")
+        gated = basis.residual(op) if factors is None else spectral._factor_residual(basis, op, factors)
+        ratios.append([basis.residual(op) / basis.lambda_max, gated / basis.lambda_max])
+    ratios = np.array(ratios)
+    assert ratios.max() <= 1e-13
+    assert np.all(ratios.max(axis=0) <= 2.0 * ratios.min(axis=0))
+
+
+@pytest.mark.parametrize(
+    "shape, coeff, solver",
+    [((65,), "identity", "closed"), ((65,), "sine", "eigh_tridiagonal"), ((12, 12), "cross", "eigh")],
+    ids=["closed-form", "eigh_tridiagonal", "dense"],
+)
+@pytest.mark.parametrize("defect", ["top", "kernel"])
+def test_relative_gate_trips_on_a_large_box(shape, coeff, solver, defect, monkeypatch):
+    # at extent 1e6 lambda_max is ~1e-8, so a gate with a floor of 1 under lambda_max would pass
+    # a top eigenvalue 1e-6 too high or a Neumann kernel eigenvalue at 1e-3 lambda_max
+    op = _scaled(shape, coeff, NEUMANN, 1e6)
+    assert eigendecompose(op).lambda_max < 1e-7
+
+    def bent(w):
+        if defect == "top":
+            return np.where(w == w.max(axis=-1, keepdims=True), w * (1.0 + 1e-6), w)
+        w = w.copy()
+        w[..., 0] = 1e-3 * w.max()
+        return w
+
+    module, name = (spectral, "_line_eigenpairs") if solver == "closed" else (scipy.linalg, solver)
+    exact = getattr(module, name)
+
+    def bent_solver(*args, **kw):
+        w, v = exact(*args, **kw)
+        return bent(w), v
+
+    monkeypatch.setattr(module, name, bent_solver)
+    with pytest.raises(SpectralError, match="residual" if defect == "top" else "kernel"):
         eigendecompose(op)
 
 
