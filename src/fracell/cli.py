@@ -252,7 +252,7 @@ def coefficient_from_spec(grid: Grid, spec: str) -> CoefficientField:
     raise ConfigError(f"key 'coeff': unknown coefficient spec {spec!r}")
 
 
-def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, rng) -> GridFunction:
+def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, seed: int) -> GridFunction:
     name, _, arg = spec.partition(":")
     if name == "ones":
         return GridFunction.ones(grid)
@@ -265,8 +265,8 @@ def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, rng) -> GridFunc
         return GridFunction.from_callable(
             grid, lambda *xs: (xs[0] * (L - xs[0])) ** 2 * (16.0 / L**4)
         )
-    if name == "random":
-        vals = rng.standard_normal(grid.shape)
+    if name == "random":  # numpy.random is loaded here, by the one spec that draws
+        vals = np.random.default_rng(seed).standard_normal(grid.shape)
         if bc.is_dirichlet:
             vals = vals * grid.interior_mask()
         else:
@@ -282,8 +282,9 @@ def rhs_from_spec(grid: Grid, spec: str, bc: BoundaryCondition, rng) -> GridFunc
 
 
 def _build_problem(v):
-    # ~24 floats per node in 1D, ~36 in 2D (tracemalloc at 10^6 and 700^2 nodes)
-    _check_memory((12 + 12 * v.dim) * v.nodes**v.dim, f"a {v.dim}D grid of {_brief(v.nodes**v.dim)} nodes and its operator")
+    # peaks at 24.3 floats per node in 1D, 36.2 in 2D; a first product, which builds the
+    # operator's slot tables, at 16.5 and 32.4 (tracemalloc at 10^6 and 700^2 nodes)
+    _check_memory((13 + 12 * v.dim) * v.nodes**v.dim, f"a {v.dim}D grid of {_brief(v.nodes**v.dim)} nodes and its operator")
     grid = Grid((v.extent,) * v.dim, (v.nodes,) * v.dim)
     bc = BoundaryCondition(v.bc)
     try:
@@ -318,9 +319,9 @@ def _assertion(name, value, target, tol, mode="le") -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(v, out: Path, rng) -> tuple[list, dict]:
+def _cmd_solve(v, out: Path) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(v)
-    f = rhs_from_spec(grid, v.rhs, bc, rng)
+    f = rhs_from_spec(grid, v.rhs, bc, v.seed)
     basis = eigendecompose(op)
     try:
         u = fractional_solve(basis, f, v.s)
@@ -349,7 +350,7 @@ def _cmd_solve(v, out: Path, rng) -> tuple[list, dict]:
     }
 
 
-def _cmd_kernel(v, out: Path, rng) -> tuple[list, dict]:
+def _cmd_kernel(v, out: Path) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(v)
     s, kind, tol = v.s, v.kind, v.slope_tol
     if kind == "greens" and not bc.is_dirichlet:
@@ -436,7 +437,7 @@ def _extension_errors(basis, u: GridFunction, mesh: ExtensionMesh):
     return dtn_err, abs(energy - energy_ref) / energy_ref, g / lam_s - 1.0, e / (basis.weight * d_s * lam_s) - 1.0
 
 
-def _cmd_extension(v, out: Path, rng) -> tuple[list, dict]:
+def _cmd_extension(v, out: Path) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(v)
     if not bc.is_dirichlet:
         raise ConfigError("key 'bc': extension command drives the Dirichlet problem")
@@ -444,7 +445,7 @@ def _cmd_extension(v, out: Path, rng) -> tuple[list, dict]:
         raise ConfigError("key 'write_field': the extension field CSV covers 1D bases")
     basis = eigendecompose(op)
     mesh = _extension_mesh(grid, basis.lambda_min_positive, basis.lambda_max, v.s, v.layers, v.gamma)
-    u = basis.eigenfunction(0) if v.u == "phi1" else rhs_from_spec(grid, "bump", bc, rng)
+    u = basis.eigenfunction(0) if v.u == "phi1" else rhs_from_spec(grid, "bump", bc, v.seed)
     dtn_err, energy_err, *defects = _extension_errors(basis, u, mesh)
     write_modes_csv(out / "extension_modes.csv", basis.eigenvalues, *defects)
     if v.write_field:
@@ -463,7 +464,7 @@ def _cmd_extension(v, out: Path, rng) -> tuple[list, dict]:
     return assertions, payload
 
 
-def _cmd_halfline(v, out: Path, rng) -> tuple[list, dict]:
+def _cmd_halfline(v, out: Path) -> tuple[list, dict]:
     s = v.s
     assertions = []
     payload = {"s": s}
@@ -495,7 +496,7 @@ def _cmd_halfline(v, out: Path, rng) -> tuple[list, dict]:
     return assertions, payload
 
 
-def _cmd_probe(v, out: Path, rng) -> tuple[list, dict]:
+def _cmd_probe(v, out: Path) -> tuple[list, dict]:
     which, s, alpha, tol = v.probe, v.s, v.alpha, v.tol
     # a sine-transform probe peaks at ~6 floats per node (tracemalloc at 2^15 + 1 and 2^17 + 1)
     _check_memory(8 * v.nodes, f"a 1D grid of {_brief(v.nodes)} nodes and its sine solves")
@@ -557,7 +558,7 @@ def _dirichlet_line_ends(grid: Grid) -> tuple[float, float]:
     return float(lam0), float(lam_max)
 
 
-def _cmd_converge(v, out: Path, rng) -> tuple[list, dict]:
+def _cmd_converge(v, out: Path) -> tuple[list, dict]:
     s, nodes, layers, levels = v.s, v.nodes, v.layers, v.levels
     finest = (nodes - 1) * 2 ** (levels - 1) + 1  # no level allocates its grid, but it must index it
     if finest > 2**53:  # past it, node indices are no longer exact doubles
@@ -610,9 +611,8 @@ class ExitReport:
 def run(cfg: RunConfig, out_dir=None) -> ExitReport:
     out = Path(out_dir if out_dir is not None else cfg.values.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.values.seed)
     try:
-        assertions, payload = _DISPATCH[cfg.command](cfg.values, out, rng)
+        assertions, payload = _DISPATCH[cfg.command](cfg.values, out)
     except DenseMemoryError as exc:
         raise ConfigError(f"key {_MEMORY_KEY.get(cfg.command, 'nodes')!r}: {exc}") from None
     except QuadratureError as exc:  # the CLI builds rules only: one whose range over- or underflows at this s

@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import Grid, GridFunction, GridError
-from .operators import DiscreteOperator, _gate_backward_error, _tridiagonal
+from .operators import DiscreteOperator, _CSR, _gate_backward_error, _tridiagonal
 from .spectral import EigenBasis, _check_memory, eigendecompose
 
 __all__ = [
@@ -231,15 +230,34 @@ class ForcingData:
     f: GridFunction | None
 
 
-def _base_stiffness(op: DiscreteOperator) -> sp.csr_matrix:
+def _base_stiffness(op: DiscreteOperator) -> _CSR:
     """Stiffness on the active base nodes (operator times cell volume)."""
-    return (op.matrix * op.grid.cell_volume).tocsr()
+    M = op.matrix
+    return _CSR(M.data * op.grid.cell_volume, M.indices, M.indptr, M.shape)
 
 
-def _vertical_stiffness(mesh: ExtensionMesh, vol: float) -> sp.csr_matrix:
-    """Exact-flux tridiagonal T over layers 0..M, times the base cell volume."""
+def _vertical_stiffness(mesh: ExtensionMesh, vol: float, first: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Rows and columns first..M-1 of the exact-flux tridiagonal T over layers 0..M, times
+    the base cell volume: its diagonal, its off-diagonal and its row-sum norm
+    max_i sum_j |T_ij| in closed form, each row summed as `abs(T).sum(axis=1)` sums it
+    (`np.add.reduceat`, which adds a row a, b, c as a + (b + c))."""
     diag, off = _tridiagonal(mesh.face_kappa(), False)
-    return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr") * vol
+    d, e = diag[first : mesh.layers] * vol, off[first : mesh.layers - 1] * vol
+    sums = np.abs(d)
+    sums[:-1] += np.abs(e)
+    sums[1:] += np.abs(e)
+    return d, e, float(sums.max())
+
+
+def _tridiagonal_apply(d: np.ndarray, e: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """T V along axis 0 of V for the symmetric tridiagonal T with diagonal d and
+    off-diagonal e: the three diagonals as slices, added in CSR order to a zero
+    start, so the bits of `scipy.sparse.diags([e, d, e], [-1, 0, 1]) @ V`."""
+    TV, term = np.zeros_like(V), np.empty_like(V)  # in V's layout
+    TV[1:] += np.multiply(e[:, None], V[:-1], out=term[1:])
+    TV += np.multiply(d[:, None], V, out=term)
+    TV[:-1] += np.multiply(e[:, None], V[1:], out=term[:-1])
+    return TV
 
 
 def _y_solve(mesh: ExtensionMesh, lam: np.ndarray, rhs: np.ndarray, first: int) -> np.ndarray:
@@ -277,9 +295,10 @@ def _gate_cylinder(op: DiscreteOperator, mesh: ExtensionMesh, V: np.ndarray, rhs
     op.matrix h^dim), where a basis of another operator fails."""
     M, K = mesh.layers, _base_stiffness(op)
     D = mesh.node_weights()[first:M]
-    Tjj = _vertical_stiffness(mesh, op.grid.cell_volume)[first:M, first:M]
-    norm_A = D.max() * abs(K).sum(axis=1).max() + abs(Tjj).sum(axis=1).max()  # bounds ||D (x) K + Tjj (x) I||
-    _gate_backward_error(D[:, None] * (K @ V.T).T + Tjj @ V - rhs, norm_A, V, rhs, "cylinder solve", ExtensionError)
+    d, e, norm_T = _vertical_stiffness(mesh, op.grid.cell_volume, first)
+    norm_A = D.max() * K.row_sum_norm() + norm_T  # bounds ||D (x) K + Tjj (x) I||
+    resid = D[:, None] * (K @ V.T).T + _tridiagonal_apply(d, e, V) - rhs
+    _gate_backward_error(resid, norm_A, V, rhs, "cylinder solve", ExtensionError)
 
 
 def extension_multipliers(mesh: ExtensionMesh, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -293,9 +312,9 @@ def extension_multipliers(mesh: ExtensionMesh, lam) -> tuple[np.ndarray, np.ndar
     fit = _dtn_fit(mesh)  # checks the layer count before any solve
     _check_memory(8 * lam.size * M, f"y-systems of a cylinder of {M + 1} layers x {lam.size} base nodes")  # ~8 arrays
     v, rhs = _unit_increments(mesh, vol * lam)
-    D, Tjj = mesh.node_weights()[1:M], _vertical_stiffness(mesh, vol)[1:M, 1:M]
-    norm_A = vol * lam.max() * D.max() + abs(Tjj).sum(axis=1).max()
-    resid = vol * lam[:, None] * D * v + (Tjj @ v.T).T - rhs
+    D, (d, e, norm_T) = mesh.node_weights()[1:M], _vertical_stiffness(mesh, vol, 1)
+    norm_A = vol * lam.max() * D.max() + norm_T
+    resid = vol * lam[:, None] * D * v + _tridiagonal_apply(d, e, v.T).T - rhs
     _gate_backward_error(resid, norm_A, v, rhs, "extension multiplier solve", ExtensionError)
     g = v[:, :4] @ fit
     v = np.pad(v, ((0, 0), (1, 0)))  # w - 1 on the rows 0..M-1; -1 on the lid

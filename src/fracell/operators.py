@@ -7,17 +7,19 @@ The operator is built from the discrete flux energy
 so the matrix is symmetric by construction.  Dividing the stiffness by the
 uniform cell volume yields the nodal operator (diag 2/h^2 for the 1D unit
 stencil).  The CSR arrays are filled directly from each node's 3-point,
-5-point or (with cross terms) 9-point stencil.  Dirichlet conditions are
-imposed by emitting only the interior rows and columns; Neumann keeps every
-node and the zero-flux rows annihilate constants.
+5-point or (with cross terms) 9-point stencil and held by `_CSR`, a small
+sparse matrix of numpy arrays (so assembling and applying an operator loads
+no SciPy).  Dirichlet conditions are imposed by emitting only the interior
+rows and columns; Neumann keeps every node and the zero-flux rows
+annihilate constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import (
     BoundaryCondition,
@@ -28,6 +30,105 @@ from .grids import (
 )
 
 __all__ = ["DiscreteOperator", "assemble"]
+
+_WALK_FLOATS = 1 << 14  # floats of one row block of the slot walk in `_CSR.__matmul__`: 128 KiB, cache-sized
+
+
+class _CSR:
+    """A sparse matrix in canonical CSR form (column indices sorted and unique
+    within each row; int32 index arrays, as SciPy stores them), with what fracell
+    needs of one: `@` on a vector or a block of columns, `abs`, `max`, `.T`, `-` (of
+    one pattern), `toarray` and the row-sum norm.  `@` and the row sums give the bits of
+    `scipy.sparse.csr_matrix`, which sums each row from 0 in CSR order."""
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        self.data = np.asarray(data, dtype=float)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.indptr = np.asarray(indptr, dtype=np.int32)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """ELL slot tables (column, value), each (max entries a row, rows): slot k of row i
+        holds the row's k-th entry in CSR order; padding points at column min(i, m - 1)
+        with value 0.0, which adds nothing to a finite sum."""
+        n, m = self.shape
+        per = np.diff(self.indptr)
+        flat = np.arange(self.nnz)  # entry e of row i, slot k sits at k * n + i
+        flat -= np.repeat(self.indptr[:-1], per)
+        flat *= n
+        flat += self._rows()
+        cols = np.empty((int(per.max(initial=0)), n), dtype=np.intp)
+        cols[:] = np.minimum(np.arange(n), max(m - 1, 0))
+        vals = np.zeros(cols.shape)
+        cols.ravel()[flat], vals.ravel()[flat] = self.indices, self.data
+        return cols, vals
+
+    def __matmul__(self, x):
+        """M @ x for a vector or an (m, k) block.  The slot walk adds, slot by slot, each
+        row's k-th product to a zero start: SciPy's order, so SciPy's bits.  It runs on the
+        vectors as rows (free for a column-contiguous block, one copy for another), in
+        blocks of _WALK_FLOATS floats; a block's result is column-contiguous."""
+        cols, vals = self._slots
+        x = np.asarray(x, dtype=float)
+        xt = np.ascontiguousarray(x.T).reshape(-1, self.shape[1])  # one vector a row
+        yt = np.zeros((xt.shape[0], self.shape[0]))
+        step = max(1, _WALK_FLOATS // max(self.shape[0], 1))
+        term = np.empty((min(step, xt.shape[0]), self.shape[0]))  # one product buffer for every slot
+        for lo in range(0, xt.shape[0], step):
+            xb, yb = xt[lo : lo + step], yt[lo : lo + step]
+            t = term[: xb.shape[0]]
+            for c, v in zip(cols, vals):
+                np.take(xb, c, axis=1, out=t, mode="clip")  # every index is in range: "clip" only skips a buffered copy
+                t *= v
+                yb += t
+        return yt[0] if x.ndim == 1 else yt.T
+
+    def row_sum_norm(self) -> float:
+        """max_i sum_j |M_ij|, each row summed by `np.add.reduceat` as SciPy's
+        `abs(M).sum(axis=1)` sums it; NaN propagates."""
+        starts = self.indptr[:-1][np.diff(self.indptr) > 0]
+        return float(np.add.reduceat(np.abs(self.data), starts).max(initial=0.0))
+
+    def __abs__(self) -> _CSR:
+        return _CSR(np.abs(self.data), self.indices, self.indptr, self.shape)
+
+    def max(self) -> float:
+        """The largest entry, stored or (where any entry is not stored) zero; NaN propagates."""
+        top = np.maximum.reduce(self.data) if self.nnz else 0.0
+        return float(top if self.nnz == self.shape[0] * self.shape[1] else np.maximum(top, 0.0))
+
+    @property
+    def T(self) -> _CSR:
+        """The transpose: a stable sort of the entries by column keeps each new row's
+        columns (the old rows) ascending."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.shape[1]))))
+        return _CSR(self.data[order], self._rows()[order], indptr, self.shape[::-1])
+
+    def __sub__(self, other: _CSR) -> _CSR:
+        """M - N for two matrices of one pattern (M - M.T of a structurally symmetric M),
+        dropping the zeros as SciPy does; another pattern raises ValueError."""
+        same = np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
+        if self.shape != other.shape or not same:
+            raise ValueError("difference of two sparse matrices of different patterns")
+        data = self.data - other.data
+        keep = data != 0.0
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self._rows()[keep], minlength=self.shape[0]))))
+        return _CSR(data[keep], self.indices[keep], indptr, self.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._rows(), self.indices] = self.data
+        return out
 
 
 @dataclass(frozen=True)
@@ -41,7 +142,7 @@ class DiscreteOperator:
     grid: Grid
     bc: BoundaryCondition
     coeff: CoefficientField
-    matrix: sp.csr_matrix
+    matrix: _CSR
 
     @property
     def active_mask(self) -> np.ndarray:
@@ -56,10 +157,6 @@ class DiscreteOperator:
 
     def embed(self, vec: np.ndarray) -> GridFunction:
         return GridFunction.embed(self.grid, self.active_mask, vec)
-
-    def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(abs(d).max()) if d.nnz else 0.0
 
 
 _BACKWARD_ERROR_TOL = 1e-12  # gate of every direct solve: the cylinder and each resolvent
@@ -93,7 +190,7 @@ def _tridiagonal(w: np.ndarray, dirichlet: bool) -> tuple[np.ndarray, np.ndarray
 _FACE_SLOTS = np.array([[False, True, False], [True, True, True], [False, True, False]])
 
 
-def _stiffness(grid: Grid, A: CoefficientField, bc: BoundaryCondition) -> sp.csr_matrix:
+def _stiffness(grid: Grid, A: CoefficientField, bc: BoundaryCondition) -> _CSR:
     """Stiffness on the active nodes, its CSR arrays filled from each node's 3 x 3
     stencil (1D is the ny = 1 case).  The diagonal is summed face by face (x, then
     y), then over the cells with the node as NE, SE, NW and SW corner: the order
@@ -135,7 +232,7 @@ def _stiffness(grid: Grid, A: CoefficientField, bc: BoundaryCondition) -> sp.csr
     keep = active[:, :, None, None] & (cols >= 0) & (_FACE_SLOTS | (vals != 0.0))
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=(2, 3))[active])])
     n = indptr.size - 1
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    return _CSR(vals[keep], cols[keep], indptr, (n, n))
 
 
 def _kronecker_factors(op: DiscreteOperator):

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grids import Grid, GridFunction, _node_points
-from .operators import DiscreteOperator, _gate_backward_error
+from .operators import DiscreteOperator, _CSR, _gate_backward_error
 from .spectral import EigenBasis, _check_memory
 
 __all__ = [
@@ -215,20 +214,23 @@ def heat_apply(basis: EigenBasis, u: GridFunction, t: float) -> GridFunction:
     return basis.apply_fn(lambda lam: np.exp(-t * lam), u)
 
 
-def _upper_band(matrix: sp.csr_matrix) -> np.ndarray:
-    """Upper band of a symmetric matrix in LAPACK storage ab[kd + i - j, j] = A[i, j];
-    kd is read off the sparsity pattern (1 in 1D, about nx in 2D)."""
-    U = sp.triu(matrix, format="coo")
-    kd = int((U.col - U.row).max(initial=0))
+def _upper_band(matrix: _CSR) -> np.ndarray:
+    """Upper band of a symmetric matrix in LAPACK storage ab[kd + i - j, j] = A[i, j],
+    filled from the CSR arrays (each entry's band row is its column minus its row); kd is
+    read off the sparsity pattern (1 in 1D, about nx in 2D)."""
+    rows, cols = matrix._rows(), matrix.indices
+    upper = cols >= rows
+    off, cols = (cols - rows)[upper], cols[upper]
+    kd = int(off.max(initial=0))
     ab = np.zeros((kd + 1, matrix.shape[0]), order="F")
-    ab[kd + U.row - U.col, U.col] = U.data
+    ab[kd - off, cols] = matrix.data[upper]
     return ab
 
 
 _STACK_ROWS = 1 << 14  # matrix rows of one stacked resolvent band, which holds kd + 1 floats per row
 
 
-def _resolvent(L: sp.csr_matrix, band: np.ndarray, norm_L: float, dt: np.ndarray):
+def _resolvent(L: _CSR, band: np.ndarray, norm_L: float, dt: np.ndarray):
     """B -> V, V[j] = (I + dt[j] L)^{-1} B[j], for a symmetric L with upper band
     `band` (`_upper_band`) and max-norm `norm_L`.  The blocks I + dt[j] L are
     stacked as one block-diagonal band (same kd, zero coupling): one banded
@@ -288,7 +290,7 @@ def balakrishnan_apply(
     if steps_per_node < 1:
         raise QuadratureError("need steps_per_node >= 1")
     m, L = steps_per_node, op.matrix
-    band, norm_L = _upper_band(L), abs(L).sum(axis=1).max()
+    band, norm_L = _upper_band(L), L.row_sum_norm()
     Lu = L @ op.restrict(u)
     acc, per = np.zeros_like(Lu), max(1, _STACK_ROWS // Lu.size)
     for lo in range(0, q.size, per):  # the nodes of one chunk are one stacked band

@@ -268,11 +268,14 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
         Q, X, order = np.ones((1, 1)), V[None], np.arange(lam.size)
     w = op.grid.cell_volume
 
+    # each test below is written `not (passing condition)`, so a NaN fails it
+    if not math.isfinite(lam[-1]):  # ascending; a NaN elsewhere fails the residual gate through lambda_max
+        raise SpectralError(f"lambda_max is not finite: {lam[-1]}")
     if op.bc.is_dirichlet:
-        if lam[0] <= 0:
+        if not lam[0] > 0:
             raise SpectralError(f"Dirichlet operator not positive definite: lambda0={lam[0]}")
     else:
-        if abs(lam[0]) > _KERNEL_RTOL * lam[-1]:
+        if not abs(lam[0]) <= _KERNEL_RTOL * lam[-1]:
             raise SpectralError(f"Neumann kernel eigenvalue too large: {lam[0]}")
         lam = lam.copy()
         lam[0] = 0.0
@@ -286,7 +289,7 @@ def eigendecompose(op: DiscreteOperator) -> EigenBasis:
 
     basis = EigenBasis(op.grid, op.bc, op.grid.active_mask(op.bc), lam, Q, X, order, w)
     res = basis.residual(op) if factors is None else _factor_residual(basis, op, factors)
-    if res > _RESIDUAL_TOL * basis.lambda_max:
+    if not res <= _RESIDUAL_TOL * basis.lambda_max:
         raise SpectralError(f"eigensolver residual {res:.3e} exceeds {_RESIDUAL_TOL:.1e}*lambda_max")
     return basis
 

@@ -57,3 +57,11 @@ def rng():
 
 def random_dirichlet_field(op, rng) -> GridFunction:
     return op.embed(rng.standard_normal(op.size))
+
+
+def scipy_csr(matrix):
+    """The operator's CSR arrays wrapped as a `scipy.sparse.csr_matrix`, for tests that
+    need SciPy's sparse API or take SciPy as the reference."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)

@@ -430,18 +430,22 @@ def test_cli_import_skips_scipy_integrate():
     "argv, loaded",
     [
         (["solve", "--nodes=17"], []),
-        (["solve", "--nodes=17", "--coeff=sine"], ["scipy.linalg"]),
-        (["kernel", "--kind=jump", "--nodes=33"], ["scipy.special"]),
+        (["solve", "--nodes=17", "--coeff=sine"], ["scipy", "scipy.linalg"]),
+        (["kernel", "--kind=jump", "--nodes=33"], ["scipy", "scipy.special"]),
+        (["probe", "--probe=harnack"], []),
+        (["halfline"], []),
     ],
-    ids=["solve", "solve-sine", "kernel-jump"],
+    ids=["solve", "solve-sine", "kernel-jump", "probe-harnack", "halfline"],
 )
 def test_cli_command_imports_only_the_scipy_it_calls(argv, loaded, tmp_path):
-    # `import fracell` loads numpy and scipy.sparse; scipy.linalg and scipy.special are
-    # imported by the functions that call them, so a command that calls neither loads neither
+    # `import fracell` loads numpy and no SciPy: the operator is fracell's own CSR, and
+    # scipy.linalg and scipy.special are imported by the functions that call them, so a
+    # command that calls neither loads no scipy module at all
     probe = (
         "import sys, fracell, fracell.cli\n"
         f"assert fracell.cli.main({[*argv, f'--out={tmp_path}']!r}) == 0\n"
-        "print([m for m in ('scipy.linalg', 'scipy.special', 'scipy.integrate') if m in sys.modules])"
+        "watched = ('scipy', 'scipy.sparse', 'scipy.linalg', 'scipy.special', 'scipy.integrate')\n"
+        "print([m for m in watched if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr

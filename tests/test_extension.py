@@ -30,6 +30,7 @@ from fracell.extension import (
     ExtensionError,
     _base_stiffness,
     _forcing_load,
+    _tridiagonal_apply,
     _vertical_stiffness,
     caccioppoli_check,
     dtn_constant_divform,
@@ -561,22 +562,21 @@ def _per_mode_cylinder(op, mesh, trace_vec, load, basis):
 
     M = mesh.layers
     first = 0 if trace_vec is None else 1
-    T = _vertical_stiffness(mesh, op.grid.cell_volume)
-    Tjj, D = T[first:M, first:M], mesh.node_weights()[first:M]
+    (d, e, _), D = _vertical_stiffness(mesh, op.grid.cell_volume, first), mesh.node_weights()[first:M]
     lam = op.grid.cell_volume * basis.eigenvalues
     if trace_vec is None:
         R = basis.coefficients_batch(load[:M])
     else:
         R, c = np.empty((M - 1, lam.size)), basis.coefficients_batch(trace_vec[None])[0]
     band = np.zeros((2, M - first))
-    band[0, 1:] = Tjj.diagonal(1)
+    band[0, 1:] = e
     for k in range(lam.size):
-        band[1] = lam[k] * D + Tjj.diagonal()
+        band[1] = lam[k] * D + d
         if trace_vec is None:
             R[:, k] = sla.solveh_banded(band, R[:, k])
         else:
             unit = -lam[k] * D
-            unit[-1] += T[M - 1, M]
+            unit[-1] -= mesh.face_kappa()[-1] * op.grid.cell_volume  # T[M-1, M]
             R[:, k] = c[k] * sla.solveh_banded(band, unit)
     values = np.zeros((M + 1,) + op.grid.shape)
     values[first:M, op.active_mask] = basis.synthesize_batch(R)
@@ -628,7 +628,8 @@ def test_y_solve_returns_no_subnormal_entry(monkeypatch):
     ref = extension._y_solve(mesh, lam, rhs.copy(), 0)
     assert _subnormal(ref).sum() > 100 and not _subnormal(x).any()
     assert np.array_equal(x, np.where(_subnormal(ref), 0.0, ref))
-    dense = lam[0] * np.diag(mesh.node_weights()[:-1]) + _vertical_stiffness(mesh, g.cell_volume)[:-1, :-1].toarray()
+    d, e, _ = _vertical_stiffness(mesh, g.cell_volume, 0)
+    dense = lam[0] * np.diag(mesh.node_weights()[:-1]) + np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.allclose(1e300 * x[0], np.linalg.solve(dense, 1e300 * rhs[0]), rtol=1e-10, atol=1e-7)
 
 
@@ -806,3 +807,23 @@ def test_weak_form_residual(setup_half):
         worst = max(worst, np.abs(resid).max())
     scale = np.abs(K.data).max()
     assert worst <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_vertical_stiffness_slices_match_the_scipy_diags_matrix(first, rng):
+    # T over layers 0..M as `sp.diags` built it, cut to rows first..M-1: the three slices
+    # give its product's bits, and the closed-form norm its row sums
+    import scipy.sparse as sp
+
+    from fracell.operators import _tridiagonal
+
+    g = Grid((1.0,), (33,))
+    mesh, vol = ExtensionMesh.build(g, 0.3, 24, height=3.0), g.cell_volume
+    diag, off = _tridiagonal(mesh.face_kappa(), False)
+    M = mesh.layers
+    T = (sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr") * vol)[first:M, first:M]
+    d, e, norm = _vertical_stiffness(mesh, vol, first)
+    V = rng.standard_normal((M - first, 40))
+    assert np.array_equal(_tridiagonal_apply(d, e, V), T @ V)
+    assert np.array_equal(_tridiagonal_apply(d, e, V.T.copy().T), T @ V)
+    assert norm == abs(T).sum(axis=1).max()

@@ -15,6 +15,8 @@ from fracell import (
 from fracell.grids import GridError
 from fracell.operators import _stiffness
 
+from conftest import scipy_csr
+
 
 def test_unit_interval_stencil():
     g = Grid((1.0,), (5,))
@@ -67,7 +69,7 @@ def test_symmetry_and_m_matrix_structure():
     g = Grid((1.0, 1.0), (8, 8))
     A = CoefficientField.from_callable(g, lambda x, y: 1.0 + 0.4 * x * y)
     op = assemble(g, A, DIRICHLET)
-    assert op.symmetry_defect() == 0.0
+    assert abs(op.matrix - op.matrix.T).max() == 0.0
     dense = op.matrix.toarray()
     off = dense - np.diag(np.diag(dense))
     assert off.max() <= 0.0
@@ -78,7 +80,7 @@ def test_full_tensor_coefficient_assembles_symmetric():
     mat = np.array([[2.0, 0.5], [0.5, 1.0]])
     A = CoefficientField.constant(g, mat)
     op = assemble(g, A, DIRICHLET)
-    assert op.symmetry_defect() == 0.0
+    assert abs(op.matrix - op.matrix.T).max() == 0.0
     lam = sla.eigvalsh(op.matrix.toarray())
     assert lam.min() > 0.0
 
@@ -88,7 +90,7 @@ def test_dirichlet_maximum_principle(rng):
     op = assemble(g, CoefficientField.identity(g), DIRICHLET)
     for _ in range(5):
         f = np.abs(rng.standard_normal(op.size))
-        u = spla.spsolve(op.matrix.tocsc(), f)
+        u = spla.spsolve(scipy_csr(op.matrix).tocsc(), f)
         assert u.min() >= -1e-14
 
 
@@ -296,3 +298,58 @@ def test_assemble_2d_builds_no_coo_matrix(monkeypatch):
     g = Grid((1.0, 1.0), (24, 24))
     for bc in (DIRICHLET, NEUMANN):
         assert assemble(g, _rotated_field(g), bc).matrix.nnz > 0
+
+
+def _reference_operators():
+    """1D, 2D 5-point and 2D 9-point (cross-term) operators under both conditions."""
+    cases = []
+    for bc in (DIRICHLET, NEUMANN):
+        g1 = Grid((1.7,), (130,))
+        cases.append(assemble(g1, CoefficientField.from_callable(g1, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x)), bc))
+        g2 = Grid((1.0, 2.5), (13, 11))
+        cases.append(assemble(g2, CoefficientField.from_callable(g2, lambda x, y: 1.0 + 0.4 * x * y), bc))
+        g3 = Grid((1.0, 1.0), (24, 24))
+        cases.append(assemble(g3, _rotated_field(g3), bc))
+    return cases
+
+
+@pytest.mark.parametrize("op", _reference_operators(), ids=["1d-dirichlet", "5pt-dirichlet", "9pt-dirichlet", "1d-neumann", "5pt-neumann", "9pt-neumann"])
+def test_csr_matches_scipy_bit_for_bit(op, rng):
+    # SciPy is the reference: the slot walk sums each row from 0 in CSR order, as SciPy does,
+    # on a vector, a column-contiguous block (V.T, V C-ordered) and a row-contiguous block;
+    # 300 vectors span more than one row block of the walk
+    M, ref = op.matrix, scipy_csr(op.matrix)
+    assert M.indices.dtype == M.indptr.dtype == np.int32
+    x, V = rng.standard_normal(op.size), rng.standard_normal((300, op.size))
+    assert np.array_equal(M @ x, ref @ x)
+    assert np.array_equal(M @ V.T, ref @ V.T)
+    assert np.array_equal(M @ np.ascontiguousarray(V.T), ref @ np.ascontiguousarray(V.T))
+    assert M.row_sum_norm() == abs(ref).sum(axis=1).max()
+    assert abs(M).max() == abs(ref).max()
+    assert abs(M - M.T).max() == abs(ref - ref.T).max() == 0.0
+    assert np.array_equal(M.T.toarray(), ref.T.toarray())
+    assert np.array_equal(M.toarray(), ref.toarray())
+
+
+def test_csr_difference_drops_zeros_and_refuses_another_pattern():
+    # one pattern: the entries that cancel are dropped, as SciPy drops them
+    from fracell.operators import _CSR
+
+    A = sp.random(40, 40, density=0.15, random_state=1, format="csr")
+    B = A.copy()
+    B.data[::2] *= 0.5
+    ref = A - B
+    got = _CSR(A.data, A.indices, A.indptr, A.shape) - _CSR(B.data, B.indices, B.indptr, B.shape)
+    assert got.nnz == ref.nnz < A.nnz
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    C = sp.random(40, 40, density=0.15, random_state=2, format="csr")
+    with pytest.raises(ValueError, match="patterns"):
+        got - _CSR(C.data, C.indices, C.indptr, C.shape)
+
+
+def test_csr_max_propagates_nan():
+    g = Grid((1.0,), (9,))
+    M = assemble(g, CoefficientField.identity(g), DIRICHLET).matrix
+    M.data[3] = np.nan
+    assert np.isnan(abs(M).max()) and np.isnan(M.row_sum_norm())

@@ -34,7 +34,7 @@ from fracell.semigroup import (
     kernel_slope_fit,
 )
 
-from conftest import random_dirichlet_field
+from conftest import random_dirichlet_field, scipy_csr
 from test_spectral import _rotated
 
 
@@ -295,7 +295,7 @@ def test_stacked_resolvents_match_the_per_node_loop_2d(rng):
     g = Grid((1.0, 1.0), (34, 34))
     op = assemble(g, _rotated(g), DIRICHLET)
     u = random_dirichlet_field(op, rng)
-    norm_L = abs(op.matrix).sum(axis=1).max()
+    norm_L = abs(scipy_csr(op.matrix)).sum(axis=1).max()
     q = SingularQuadrature.for_spectrum(0.5, 1.0, norm_L, tol=1e-6, dtau=1.0)
     got, ref = balakrishnan_apply(op, u, 0.5, q, steps_per_node=2), _per_node_apply(op, u, 0.5, q, 2)
     assert np.abs(got.values - ref.values).max() <= 1e-13 * np.abs(ref.values).max()
@@ -321,7 +321,7 @@ def test_stacked_resolvents_stay_within_the_row_budget(rng, monkeypatch):
     monkeypatch.setattr(semigroup, "_check_memory", recording_check)
     g = Grid((1.0, 1.0), (24, 24))
     op = assemble(g, _rotated(g), DIRICHLET)
-    q = SingularQuadrature.for_spectrum(0.5, 1.0, abs(op.matrix).sum(axis=1).max())
+    q = SingularQuadrature.for_spectrum(0.5, 1.0, abs(scipy_csr(op.matrix)).sum(axis=1).max())
     balakrishnan_apply(op, random_dirichlet_field(op, rng), 0.5, q)
     kd1 = semigroup._upper_band(op.matrix).shape[0]
     assert len(shapes) > 1 and len(floats) == len(shapes)  # chunked, each chunk checked
@@ -615,3 +615,19 @@ def test_jump_kernel_fit_peaks_near_the_kernel_itself(basis_40):
     finally:
         tracemalloc.stop()
     assert peak <= K.entries.nbytes + 4 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(130,), (13, 11), (24, 24)], ids=str)
+def test_upper_band_matches_the_scipy_triu_construction(shape):
+    import scipy.sparse as sp
+
+    from fracell.semigroup import _upper_band
+
+    g = Grid((1.0,) * len(shape), shape)
+    op = assemble(g, _rotated(g) if shape == (24, 24) else CoefficientField.identity(g), DIRICHLET)
+    U = sp.triu(scipy_csr(op.matrix), format="coo")
+    kd = int((U.col - U.row).max(initial=0))
+    ref = np.zeros((kd + 1, op.size), order="F")
+    ref[kd + U.row - U.col, U.col] = U.data
+    got = _upper_band(op.matrix)
+    assert got.shape == ref.shape and np.array_equal(got, ref)

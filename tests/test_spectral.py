@@ -22,10 +22,10 @@ from fracell import (
     scaling_check,
 )
 from fracell import spectral
-from fracell.operators import DiscreteOperator, _kronecker_factors
+from fracell.operators import DiscreteOperator, _CSR, _kronecker_factors
 from fracell.spectral import CompatibilityError, DenseMemoryError, SpectralError
 
-from conftest import random_dirichlet_field
+from conftest import random_dirichlet_field, scipy_csr
 
 
 def test_eigenbasis_quality(basis_dirichlet, op_dirichlet):
@@ -634,14 +634,15 @@ def test_factor_certificate_trips_on_a_perturbed_q_column():
 @pytest.mark.parametrize("change", ["extra_entry", "dropped_entry"])
 def test_factor_certificate_trips_when_the_matrix_leaves_the_kronecker_sum(shape, change):
     op, factors, basis = _certified(shape, NEUMANN, "sine")
-    M = op.matrix.tolil()
+    M = scipy_csr(op.matrix).tolil()
     eps = 1e-6 * basis.lambda_max * np.sqrt(basis.weight)
     if change == "extra_entry":  # far off the 5-point stencil
         M[0, op.size - 1] = eps
     else:  # one stencil entry neither stored nor zero-valued: M_kron has it, M does not
         M[0, 1] = 0.0
-    bad = DiscreteOperator(op.grid, op.bc, op.coeff, M.tocsr())
-    bad.matrix.eliminate_zeros()
+    M = M.tocsr()
+    M.eliminate_zeros()
+    bad = DiscreteOperator(op.grid, op.bc, op.coeff, _CSR(M.data, M.indices, M.indptr, M.shape))
     cert = spectral._factor_residual(basis, bad, factors)
     assert cert >= eps / np.sqrt(basis.weight) * (1.0 - 1e-9)
     with pytest.raises(SpectralError, match="residual"):
@@ -680,3 +681,31 @@ def test_spectrum_ends_match_the_closed_form(n):
     lo, hi = _dirichlet_line_ends(g)
     assert lo == pytest.approx(basis.eigenvalues[0], rel=1e-10)
     assert hi == pytest.approx(basis.lambda_max, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "defect, bc, match",
+    [("residual", DIRICHLET, "residual"), ("lambda0", DIRICHLET, "positive definite"),
+     ("lambda0", NEUMANN, "kernel"), ("lambda_max", DIRICHLET, "lambda_max is not finite")],
+    ids=["nan-residual", "nan-lambda0-dirichlet", "nan-lambda0-neumann", "inf-lambda_max"],
+)
+def test_eigen_gates_refuse_nan_and_inf(defect, bc, match, monkeypatch):
+    # each gate is `not x <= tol`: a NaN residual or lambda_0, or an infinite lambda_max
+    # (which a gate relative to lambda_max would otherwise pass), raises
+    g = Grid((1.0, 1.0), (9, 9))
+    op = assemble(g, _rotated(g), bc)  # the dense path: eigh's ascending output is taken as is
+    exact = scipy.linalg.eigh
+
+    def bent_eigh(*args, **kw):
+        w, v = exact(*args, **kw)
+        if defect == "lambda0":
+            w[0] = np.nan
+        elif defect == "lambda_max":
+            w[-1] = np.inf
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, "eigh", bent_eigh)
+    if defect == "residual":
+        monkeypatch.setattr(spectral.EigenBasis, "residual", lambda self, op: np.nan)
+    with pytest.raises(SpectralError, match=match):
+        eigendecompose(op)
