@@ -24,7 +24,7 @@ def main() -> int:
             ),
             out_dir=OUT / f"s{s}",
         )
-        data = json.loads((OUT / f"s{s}" / "convergence.json").read_text())
+        data = json.loads(res.report_path.read_text())["results"]
         ok = ok and res.passed
         errs = ", ".join(f"{e:.2e}" for e in data["dtn_errors"])
         print(

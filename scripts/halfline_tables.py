@@ -16,7 +16,7 @@ def main() -> int:
     for s in (0.25, 0.5, 0.75):
         res = run(RunConfig("halfline", {"s": str(s)}), out_dir=OUT / f"s{s}")
         ok = ok and res.passed
-        report = json.loads((OUT / f"s{s}" / "halfline_report.json").read_text())
+        report = json.loads(res.report_path.read_text())["results"]
         print(f"s={s}: {report} pass={res.passed}")
     print(f"tables under {OUT}/s*/halfline.csv")
     return 0 if ok else 1

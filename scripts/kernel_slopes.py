@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the jump-kernel and Green-function slope fits over s.
 
-Writes per-case fit reports under out/kernels (one subdirectory per run)
-and prints a summary table.  Kernel CSV dumps can be enabled with
---write_kernel=true per the CLI contract.
+Writes one report.json per case under out/kernels (one subdirectory per
+run; the fit is its `results.fit`) and prints a summary table.  Kernel CSV
+dumps can be enabled with --write_kernel=true per the CLI contract.
 """
 
 import json
@@ -35,7 +35,7 @@ def main() -> int:
             {"kind": kind, "dim": str(dim), "nodes": str(nodes), "s": str(s), **extra},
         )
         res = run(cfg, out_dir=OUT / tag)
-        fit = json.loads((OUT / tag / "kernel_fit.json").read_text())["fit"]
+        fit = json.loads(res.report_path.read_text())["results"]["fit"]
         rows.append((tag, fit["slope"], fit["r2"], res.passed))
 
     print(f"{'case':24s} {'slope':>10s} {'r2':>8s} {'pass':>6s}")

@@ -31,7 +31,7 @@ def main() -> int:
         tag = "_".join(f"{k}{v}" for k, v in sorted(case.items()))
         res = run(RunConfig("probe", dict(case)), out_dir=OUT / tag)
         ok = ok and res.passed
-        report = json.loads((OUT / tag / "probe_report.json").read_text())
+        report = json.loads(res.report_path.read_text())["results"]
         if "fit" in report:
             exponent = report["fit"]["exponent"]
             target = report["target"]

@@ -1,11 +1,14 @@
 """Batch front-end: `fracell <command> [--config path] [--key=value ...] [--out dir]`.
 
 Commands: solve, kernel, extension, halfline, probe, converge.  Configs are
-flat key=value text files; command-line --key=value pairs override them.
-Every run writes report.json (sorted keys, no timestamps) embedding the
-resolved-config hash and the package version, plus CSV artifacts; the exit
-status is 0 iff every enabled assertion passed.  Outputs are a pure
-function of (config, seed).
+flat key=value text files; command-line --key=value pairs override them.  A
+command reads every key of its table to compute or write something: assertion
+tolerances are module constants next to their assertions, and the output
+directory is `--out` (default fracell_out), not a key.  Every run writes one
+report.json (sorted keys, no timestamps) holding the resolved-config hash,
+the package version, the assertions and the results, plus CSV artifacts; the
+exit status is 0 iff every assertion passed.  Outputs are a pure function of
+the config (`solve --rhs=random` draws from its `seed`).
 """
 
 from __future__ import annotations
@@ -106,30 +109,24 @@ _PROBLEM = (
     ("bc", ("dirichlet", "neumann"), "dirichlet"), ("coeff", str, "identity"),
 )
 _TABLES = {
-    command: (("seed", int, 0, 0), ("out", str, "fracell_out"), *rows)
-    for command, rows in {
-        "solve": (*_PROBLEM, _s(0.5, 1.0), ("rhs", str, "ones"), ("eigenvectors", int, 3, 0)),
-        "kernel": (
-            *_PROBLEM, _s(0.5), ("kind", ("jump", "greens"), "jump"),
-            ("fit_rmin", float), ("fit_rmax", float), ("margin", float),
-            ("slope_tol", float, lambda v: 0.15 if v["kind"] == "jump" else 0.1, 0.0), ("write_kernel", bool, False),
-        ),
-        "extension": (
-            *_PROBLEM, _s(0.5), ("layers", int, 64, 5),  # dtn_extract fits 4 layers below the lid
-            ("gamma", float), ("write_field", bool, False), ("u", ("phi1", "bump"), "phi1"),
-            ("dtn_tol", float, 2e-2, 0.0), ("energy_tol", float, 1e-2, 0.0),
-        ),
-        "halfline": (_s(0.25), ("T", float, 16.0, 1.0)),
-        "probe": (
-            ("probe", ("interior", "interior_lp", "boundary", "layer", "harnack")), _s(0.25),
-            # harnack decomposes L: a coarser default grid
-            ("nodes", int, lambda v: 257 if v["probe"] == "harnack" else 2**15 + 1, lambda v: 17 if v["probe"] == "harnack" else 9),
-            ("alpha", float, 0.2, 1e-9, 1.0 - 1e-9), ("p", float, 3.0, 1.0),
-            ("r_max", float, 0.03125, 1e-12), ("d_max", float, 0.01, 1e-12),
-            ("tol", float, lambda v: 0.05 if v["probe"] == "boundary" else 0.1, 0.0),
-        ),
-        "converge": (_s(0.5), ("nodes", int, 130, 9), ("layers", int, 64, 5), ("levels", int, 3, 2, 40)),
-    }.items()
+    "solve": (("seed", int, 0, 0), *_PROBLEM, _s(0.5, 1.0), ("rhs", str, "ones"), ("eigenvectors", int, 3, 0)),
+    "kernel": (
+        *_PROBLEM, _s(0.5), ("kind", ("jump", "greens"), "jump"),
+        ("fit_rmin", float), ("fit_rmax", float), ("margin", float), ("write_kernel", bool, False),
+    ),
+    "extension": (
+        *_PROBLEM, _s(0.5), ("layers", int, 64, 5),  # dtn_extract fits 4 layers below the lid
+        ("gamma", float), ("write_field", bool, False), ("u", ("phi1", "bump"), "phi1"),
+    ),
+    "halfline": (_s(0.25),),
+    "probe": (
+        ("probe", ("interior", "interior_lp", "boundary", "layer", "harnack")), _s(0.25),
+        # harnack decomposes L: a coarser default grid
+        ("nodes", int, lambda v: 257 if v["probe"] == "harnack" else 2**15 + 1, lambda v: 17 if v["probe"] == "harnack" else 9),
+        ("alpha", float, 0.2, 1e-9, 1.0 - 1e-9), ("p", float, 3.0, 1.0),
+        ("r_max", float, 0.03125, 1e-12), ("d_max", float, 0.01, 1e-12),
+    ),
+    "converge": (_s(0.5), ("nodes", int, 130, 9), ("layers", int, 64, 5), ("levels", int, 3, 2, 40)),
 }
 _VALUES = {command: namedtuple(command, [row[0] for row in rows]) for command, rows in _TABLES.items()}
 _KEYS = {command: frozenset(values._fields) for command, values in _VALUES.items()}
@@ -198,11 +195,8 @@ class RunConfig:
         self.values = _VALUES[self.command](**parsed)
 
     def resolved(self) -> dict:
-        """Canonical config for hashing/reporting; the output directory is
-        a disposition, not a numerical input, and is excluded so reruns
-        into different directories stay byte-identical."""
-        items = {k: str(v) for k, v in self.params.items() if k != "out"}
-        return {"command": self.command, **items}
+        """Canonical config for hashing/reporting."""
+        return {"command": self.command, **{k: str(v) for k, v in self.params.items()}}
 
 
 def parse_config_file(path) -> dict:
@@ -350,9 +344,12 @@ def _cmd_solve(v, out: Path) -> tuple[list, dict]:
     }
 
 
+_SLOPE_TOL = {"jump": 0.15, "greens": 0.1}  # |fitted - predicted| power-law slope of the kernel
+
+
 def _cmd_kernel(v, out: Path) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(v)
-    s, kind, tol = v.s, v.kind, v.slope_tol
+    s, kind, tol = v.s, v.kind, _SLOPE_TOL[v.kind]
     if kind == "greens" and not bc.is_dirichlet:
         raise ConfigError("key 'bc': the Green function needs bc=dirichlet (a Neumann spectrum has a zero mode)")
     window = {"r_min": v.fit_rmin, "r_max": v.fit_rmax, "interior_margin": v.margin}
@@ -387,7 +384,6 @@ def _cmd_kernel(v, out: Path) -> tuple[list, dict]:
         payload["route_agreement"] = routes
     if v.write_kernel:
         write_kernel_csv(out / f"{kind}_kernel.csv", K if kind == "jump" else G)
-    write_report_json(out / "kernel_fit.json", payload)
     return assertions, payload
 
 
@@ -437,6 +433,9 @@ def _extension_errors(basis, u: GridFunction, mesh: ExtensionMesh):
     return dtn_err, abs(energy - energy_ref) / energy_ref, g / lam_s - 1.0, e / (basis.weight * d_s * lam_s) - 1.0
 
 
+_DTN_TOL, _ENERGY_TOL = 2e-2, 1e-2  # relative DtN error against L^s u, relative energy-identity defect
+
+
 def _cmd_extension(v, out: Path) -> tuple[list, dict]:
     grid, bc, A, op = _build_problem(v)
     if not bc.is_dirichlet:
@@ -445,14 +444,14 @@ def _cmd_extension(v, out: Path) -> tuple[list, dict]:
         raise ConfigError("key 'write_field': the extension field CSV covers 1D bases")
     basis = eigendecompose(op)
     mesh = _extension_mesh(grid, basis.lambda_min_positive, basis.lambda_max, v.s, v.layers, v.gamma)
-    u = basis.eigenfunction(0) if v.u == "phi1" else rhs_from_spec(grid, "bump", bc, v.seed)
+    u = basis.eigenfunction(0) if v.u == "phi1" else rhs_from_spec(grid, "bump", bc, 0)
     dtn_err, energy_err, *defects = _extension_errors(basis, u, mesh)
     write_modes_csv(out / "extension_modes.csv", basis.eigenvalues, *defects)
     if v.write_field:
         write_extension_csv(out / "extension.csv", solve_extension(op, u, mesh, basis))
     assertions = [
-        _assertion("extension_dtn_error", dtn_err, 0.0, v.dtn_tol),
-        _assertion("extension_energy_identity", energy_err, 0.0, v.energy_tol),
+        _assertion("extension_dtn_error", dtn_err, 0.0, _DTN_TOL),
+        _assertion("extension_energy_identity", energy_err, 0.0, _ENERGY_TOL),
     ]
     payload = {
         "s": v.s,
@@ -460,7 +459,6 @@ def _cmd_extension(v, out: Path) -> tuple[list, dict]:
         "dtn_error": dtn_err,
         "energy_error": energy_err,
     }
-    write_report_json(out / "extension_report.json", payload)
     return assertions, payload
 
 
@@ -472,7 +470,7 @@ def _cmd_halfline(v, out: Path) -> tuple[list, dict]:
         rhs, xs = RHS_ONE, np.geomspace(1e-3, 1e-1, 12)
     else:
         rhs, xs = RHS_INDICATOR, np.linspace(0.05, 0.45, 9)
-    problem = HalfLineProblem(s, rhs, truncation=v.T)
+    problem = HalfLineProblem(s, rhs)
     vals = halfline_inverse_quadrature(problem, xs)
     cf = closed_form_halfline(problem, xs)
     if s < 0.5:  # down to s = 1e-9 the values carry the slope 2s to ~1e-6 relative, checked to 1e-3 of 2s
@@ -492,12 +490,14 @@ def _cmd_halfline(v, out: Path) -> tuple[list, dict]:
         assertions.append(_assertion("halfline_ratio_constancy", spread, 0.0, 1e-6))
         payload["ratio_mean"] = float(ratio.mean())
     write_oracle_csv(out / "halfline.csv", xs, vals, cf)
-    write_report_json(out / "halfline_report.json", payload)
     return assertions, payload
 
 
+_INTERIOR_TOL, _BOUNDARY_TOL = 0.1, 0.05  # |fitted - predicted| Holder exponent
+
+
 def _cmd_probe(v, out: Path) -> tuple[list, dict]:
-    which, s, alpha, tol = v.probe, v.s, v.alpha, v.tol
+    which, s, alpha = v.probe, v.s, v.alpha
     # a sine-transform probe peaks at ~6 floats per node (tracemalloc at 2^15 + 1 and 2^17 + 1)
     _check_memory(8 * v.nodes, f"a 1D grid of {_brief(v.nodes)} nodes and its sine solves")
     grid = Grid((1.0,), (v.nodes,))
@@ -518,15 +518,15 @@ def _cmd_probe(v, out: Path) -> tuple[list, dict]:
         radii = dyadic_radii(grid, r_max=v.r_max, floor_cells=30.0)
         with _fit_needs_nodes():
             fit = interior_exponent(u, CampanatoProbe((0.5,), tuple(radii), mode=mode))
-        assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
-        report.update({"x0": [0.5], "fit": asdict(fit), "target": target, "tolerance": tol})
+        assertions.append(_assertion("probe_exponent", fit.exponent, target, _INTERIOR_TOL, "abs"))
+        report.update({"x0": [0.5], "fit": asdict(fit), "target": target, "tolerance": _INTERIOR_TOL})
     elif which == "boundary":
         u = fractional_solve_sine(grid, GridFunction.ones(grid), s)
         with _fit_needs_nodes():
             fit = boundary_exponent(u, (0.0,), d_min=30 * h, d_max=v.d_max)
         target = boundary_growth_exponent(s)
-        assertions.append(_assertion("probe_exponent", fit.exponent, target, tol, "abs"))
-        report.update({"x0": [0.0], "fit": asdict(fit), "target": target, "tolerance": tol})
+        assertions.append(_assertion("probe_exponent", fit.exponent, target, _BOUNDARY_TOL, "abs"))
+        report.update({"x0": [0.0], "fit": asdict(fit), "target": target, "tolerance": _BOUNDARY_TOL})
     elif which == "layer":
         f = GridFunction.ones(grid)
         u = fractional_solve_sine(grid, f, s)
@@ -545,8 +545,6 @@ def _cmd_probe(v, out: Path) -> tuple[list, dict]:
         rep = harnack_quotient(basis, f, s, (0.6,), 0.2)
         assertions.append(_assertion("harnack_quotient_lower", -rep["quotient"], -1.0, 0.0))
         report.update(rep)
-
-    write_report_json(out / "probe_report.json", report)
     return assertions, report
 
 
@@ -587,7 +585,6 @@ def _cmd_converge(v, out: Path) -> tuple[list, dict]:
         "energy_errors": energy_errs,
         "observed_order": order,
     }
-    write_report_json(out / "convergence.json", payload)
     return assertions, payload
 
 
@@ -608,8 +605,8 @@ class ExitReport:
     report_path: Path
 
 
-def run(cfg: RunConfig, out_dir=None) -> ExitReport:
-    out = Path(out_dir if out_dir is not None else cfg.values.out)
+def run(cfg: RunConfig, out_dir) -> ExitReport:
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
         assertions, payload = _DISPATCH[cfg.command](cfg.values, out)
@@ -640,7 +637,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="output directory (default fracell_out)")
+    parser.add_argument("--out", default="fracell_out", help="output directory (default fracell_out)")
     args, rest = parser.parse_known_args(argv)
 
     params = {}
@@ -652,10 +649,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"override {item!r}: expected --key=value")
             key, _, val = item[2:].partition("=")
             params[key] = val
-        if args.out:
-            params["out"] = args.out
         cfg = RunConfig(args.command, params)
-        result = run(cfg)
+        result = run(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -94,14 +94,12 @@ def bessel_k(nu: float, x: float) -> float:
 
 def _decay_height(s: float, lam0: float) -> float:
     """Smallest Y with K_s(sqrt(lam0) Y) < _LID_DECAY (truncation-lid rule)."""
-    from scipy.special import kve
-
     w_lo, w_hi = 1e-3, 4.0
-    while kve(s, w_hi) * math.exp(-w_hi) >= _LID_DECAY:
+    while bessel_k(s, w_hi) >= _LID_DECAY:
         w_lo, w_hi = w_hi, 2.0 * w_hi
     for _ in range(80):
         mid = 0.5 * (w_lo + w_hi)
-        if kve(s, mid) * math.exp(-mid) >= _LID_DECAY:
+        if bessel_k(s, mid) >= _LID_DECAY:
             w_lo = mid
         else:
             w_hi = mid
@@ -268,12 +266,12 @@ def _y_solve(mesh: ExtensionMesh, lam: np.ndarray, rhs: np.ndarray, first: int) 
     zero: a BLAS basis transform of subnormal operands takes a slow path."""
     import scipy.linalg as sla
 
-    M, vol = mesh.layers, mesh.base.cell_volume
-    diag, off = _tridiagonal(mesh.face_kappa(), False)  # T / vol
+    M = mesh.layers
+    d, e, _ = _vertical_stiffness(mesh, mesh.base.cell_volume, first)
     band = np.zeros((2, lam.size, M - first))
-    band[0, :, 1:] = off[first : M - 1] * vol
+    band[0, :, 1:] = e
     np.multiply(lam[:, None], mesh.node_weights()[first:M], out=band[1])
-    band[1] += diag[first:M] * vol
+    band[1] += d
     x = sla.solveh_banded(band.reshape(2, -1), rhs.reshape(-1), overwrite_ab=True, overwrite_b=True)
     x[np.abs(x) < _FLUSH_BELOW] = 0.0
     return x.reshape(rhs.shape)

@@ -75,6 +75,11 @@ class Grid:
             raise GridError("extents must be positive")
         if any(n < 3 for n in self.shape):
             raise GridError("need at least 3 nodes per axis")
+        # the operator's entries are 1/h^2; with h^2 and 1/h^2 finite and positive the
+        # cell volume, at least min h^2, is positive too
+        for h in self.spacing:
+            if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+                raise GridError(f"spacing {h:.3g} out of range: h^2 and 1/h^2 must be finite positive doubles")
 
     @property
     def dim(self) -> int:

@@ -46,12 +46,11 @@ class HalfLineProblem:
 
     rhs "one" needs s < 1/2 (the reflected kernel integral converges at
     infinity only there); "indicator_unit" is the characteristic function
-    of (0, 1).  Evaluation points must lie in (0, T/2).
+    of (0, 1).  Evaluation points must be positive, and below 1 for it.
     """
 
     s: float
     rhs: str = RHS_ONE
-    truncation: float = 16.0
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -62,8 +61,6 @@ class HalfLineProblem:
             raise HalfSpaceError(
                 "constant datum needs s < 1/2 for the kernel integral to converge"
             )
-        if self.truncation <= 0:
-            raise HalfSpaceError("truncation length must be positive")
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,8 @@ def halfline_inverse_quadrature(problem: HalfLineProblem, xs) -> np.ndarray:
     beyond max(2x, 1) is added in closed form.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs <= 0) or np.any(xs >= problem.truncation / 2):
-        raise HalfSpaceError("evaluation points must lie in (0, T/2)")
+    if np.any(xs <= 0):
+        raise HalfSpaceError("evaluation points must be positive")
     s = problem.s
     if problem.rhs == RHS_INDICATOR:
         if np.any(xs >= 1.0):

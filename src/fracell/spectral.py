@@ -91,13 +91,6 @@ class EigenBasis:
         out[..., self.order] = per_mode
         return out.reshape(per_mode.shape[:-1] + (self.Q.shape[0], self.X.shape[1]))
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """Dense (N, N) eigenvectors, column k for eigenvalue k, built on demand."""
-        _check_memory(3 * self.size**2, f"dense eigenvectors of {self.size} unknowns")
-        V = self.X.transpose(1, 0, 2)[:, None] * self.Q[None, :, :, None]  # [x, y, j, k]
-        return V.reshape(self.size, self.size)[:, self.order] / math.sqrt(self.weight)
-
     def eigenfunction(self, k: int) -> GridFunction:
         return self.synthesize(np.eye(1, self.size, k)[0])
 

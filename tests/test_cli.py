@@ -24,7 +24,7 @@ def test_run_solve_writes_artifacts(tmp_path):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    params = {"probe": "interior", "alpha": "0.2", "s": "0.25", "seed": "11"}
+    params = {"probe": "interior", "alpha": "0.2", "s": "0.25"}
     a = tmp_path / "a"
     b = tmp_path / "b"
     run(RunConfig("probe", dict(params)), out_dir=a)
@@ -34,9 +34,9 @@ def test_reports_are_byte_identical(tmp_path):
 
 def test_config_file_and_override(tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("# halfline case\ns = 0.25\nT = 16\n", encoding="utf-8")
+    config.write_text("# halfline case\ns = 0.25\n", encoding="utf-8")
     parsed = parse_config_file(config)
-    assert parsed == {"s": "0.25", "T": "16"}
+    assert parsed == {"s": "0.25"}
     rc = main(
         [
             "halfline",
@@ -72,6 +72,10 @@ def test_unknown_key_is_a_config_error_before_any_work(tmp_path, capsys):
     assert "key 'layer': unknown key" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="key 'frob': unknown key"):
         RunConfig("probe", {"probe": "interior", "frob": "1"})
+    # assertion tolerances are constants, the output directory is --out, and T fed no formula
+    for command, key in (("kernel", "slope_tol"), ("extension", "dtn_tol"), ("extension", "energy_tol"), ("probe", "tol"), ("halfline", "T"), ("solve", "out")):
+        with pytest.raises(ConfigError, match=f"key '{key}': unknown key"):
+            RunConfig(command, {key: "1"})
 
 
 @pytest.mark.parametrize(
@@ -83,6 +87,7 @@ def test_unknown_key_is_a_config_error_before_any_work(tmp_path, capsys):
         (["halfline", "--nodes=9"], "nodes"),
         (["probe", "--probe=interior", "--dim=2"], "dim"),
         (["converge", "--nodes=9", "--gamma=3"], "gamma"),
+        (["probe", "--probe=interior", "--seed=5"], "seed"),  # only rhs=random draws
     ],
 )
 def test_a_key_of_another_command_is_refused_before_any_work(tmp_path, capsys, args, key):
@@ -97,13 +102,13 @@ def test_a_key_of_another_command_is_refused_before_any_work(tmp_path, capsys, a
     [
         (["solve", "--nodes=9", "--rhs=sine:x"], "eigendecompose"),
         (["solve", "--nodes=9", "--eigenvectors=abc"], "eigendecompose"),
-        (["kernel", "--nodes=9", "--slope_tol=abc"], "eigendecompose"),
+        (["kernel", "--nodes=9", "--fit_rmin=abc"], "eigendecompose"),
         (["kernel", "--nodes=9", "--kind=greens", "--write_kernel=maybe"], "eigendecompose"),
         (["extension", "--nodes=9", "--u=psi"], "eigendecompose"),
-        (["extension", "--nodes=9", "--dtn_tol=abc"], "eigendecompose"),
-        (["extension", "--nodes=9", "--energy_tol=abc"], "eigendecompose"),
+        (["extension", "--nodes=9", "--gamma=abc"], "eigendecompose"),
+        (["extension", "--nodes=9", "--write_field=maybe"], "eigendecompose"),
         (["probe", "--probe=interior", "--r_max=abc"], "fractional_solve_sine"),
-        (["probe", "--probe=interior_lp", "--tol=abc"], "fractional_solve_sine"),
+        (["probe", "--probe=interior_lp", "--p=abc"], "fractional_solve_sine"),
         (["probe", "--probe=boundary", "--d_max=abc"], "fractional_solve_sine"),
         (["probe", "--probe=harnack", "--nodes=12"], "Grid"),
     ],
@@ -128,9 +133,9 @@ def test_every_key_is_read_before_the_heavy_work(tmp_path, capsys, monkeypatch, 
         (["solve", "--dim=3"], "key 'dim': must be 1 or 2"),
         (["kernel", "--write_kernel=maybe"], "key 'write_kernel': expected true/false, got 'maybe'"),
         (["kernel", "--kind=heat"], "key 'kind': expected one of ('jump', 'greens'), got 'heat'"),
-        (["extension", "--dtn_tol=-1"], "key 'dtn_tol': value -1.0 outside [0.0, None]"),
-        (["extension", "--energy_tol=-1"], "key 'energy_tol': value -1.0 outside [0.0, None]"),
-        (["probe", "--probe=boundary", "--tol=-1"], "key 'tol': value -1.0 outside [0.0, None]"),
+        (["extension", "--layers=4.5"], "key 'layers': expected an integer, got 4.5"),
+        (["extension", "--u=psi"], "key 'u': expected one of ('phi1', 'bump'), got 'psi'"),
+        (["probe", "--probe=interior", "--alpha=1"], "key 'alpha': value 1.0 outside [1e-09, 0.999999999]"),
         (["probe", "--probe=interior", "--r_max=0"], "key 'r_max': value 0.0 outside [1e-12, None]"),
         (["probe", "--probe=boundary", "--d_max=-0.01"], "key 'd_max': value -0.01 outside [1e-12, None]"),
         (["probe", "--probe=harnack", "--nodes=12"], "key 'nodes': value 12 below minimum 17"),
@@ -143,6 +148,34 @@ def test_a_bad_value_is_refused_before_the_output_directory_exists(tmp_path, cap
     assert main([*args, f"--out={out}"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+def _keys_read(fn, name="v") -> set:
+    """The keys `name.<key>` that `fn` reads, and that every cli function it hands `name` to reads."""
+    import ast
+    import inspect
+
+    import fracell.cli as cli
+
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == name:
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callee = getattr(cli, node.func.id, None)
+            params = inspect.signature(callee).parameters if inspect.isfunction(callee) else ()
+            for param, arg in zip(params, node.args):
+                if isinstance(arg, ast.Name) and arg.id == name:
+                    read |= _keys_read(callee, param)
+    return read
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_table_key_is_read_by_its_command(command):
+    # a key that no number depends on is refused, not accepted and hashed into the report
+    from fracell.cli import _DISPATCH
+
+    assert _keys_read(_DISPATCH[command]) == {key for key, *_ in _TABLES[command]}
 
 
 def test_every_benchmark_cli_case_builds_its_config(monkeypatch):
@@ -166,20 +199,12 @@ def test_unknown_command_rejected():
 
 
 def test_failed_assertion_gives_nonzero_exit(tmp_path):
-    # an impossible tolerance forces a clean assertion failure
-    rc = main(
-        [
-            "extension",
-            "--nodes=34",
-            "--layers=16",
-            "--s=0.5",
-            "--dtn_tol=1e-12",
-            f"--out={tmp_path}",
-        ]
-    )
+    # an 8-layer cylinder misses the DtN tolerance: a clean assertion failure
+    rc = main(["extension", "--nodes=9", "--layers=8", "--s=0.25", f"--out={tmp_path}"])
     assert rc == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["pass"] is False
+    assert not {a["name"]: a["pass"] for a in report["assertions"]}["extension_dtn_error"]
 
 
 def test_neumann_incompatible_rhs_fails_cleanly(tmp_path):
@@ -348,7 +373,7 @@ def test_converge_two_levels(tmp_path):
     cfg = RunConfig("converge", {"nodes": "34", "layers": "16", "levels": "2", "s": "0.5"})
     result = run(cfg, out_dir=tmp_path)
     assert result.passed
-    data = json.loads((tmp_path / "convergence.json").read_text())
+    data = json.loads((tmp_path / "report.json").read_text())["results"]
     assert len(data["dtn_errors"]) == 2
 
 
@@ -394,7 +419,7 @@ def test_extension_writes_its_per_mode_defects(tmp_path):
     lam, dtn, energy = np.array([[float(v) for v in r.split(",")] for r in rows[1:]]).T
     h = 1.0 / 8
     assert lam == pytest.approx(4.0 / h**2 * np.sin(np.arange(1, 8) * np.pi * h / 2) ** 2, rel=1e-12)
-    results = json.loads((tmp_path / "extension_report.json").read_text())
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
     assert abs(dtn[0]) == pytest.approx(results["dtn_error"], rel=1e-9)
     assert abs(energy[0]) == pytest.approx(results["energy_error"], rel=1e-9)
 
@@ -466,7 +491,7 @@ def test_halfline_smallest_s_carries_its_slope(tmp_path):
     # at the lower bound s = 1e-9, u = x^{2s}/s varies by ~1e-8 relative over
     # the evaluation points; the values still carry the slope 2s
     assert main(["halfline", "--s=1e-9", f"--out={tmp_path}"]) == 0
-    slope = json.loads((tmp_path / "halfline_report.json").read_text())["slope"]
+    slope = json.loads((tmp_path / "report.json").read_text())["results"]["slope"]
     assert slope == pytest.approx(2e-9, rel=1e-4)
 
 
@@ -531,7 +556,7 @@ def test_log_regime_green_fit_honours_its_window(tmp_path):
     def pairs(*window):
         out = tmp_path / str(len(window))
         assert main(["kernel", "--kind=greens", "--nodes=130", "--s=0.5", *window, f"--out={out}"]) == 0
-        return json.loads((out / "kernel_fit.json").read_text())["fit"]["pairs_used"]
+        return json.loads((out / "report.json").read_text())["results"]["fit"]["pairs_used"]
 
     assert pairs("--fit_rmin=0.05", "--fit_rmax=0.1", "--margin=0.4") < pairs()
 
@@ -666,7 +691,7 @@ def _values(key, kind):
 def _request(draw):
     # a command and overrides of the keys it reads
     command = draw(st.sampled_from(COMMANDS))
-    kinds = {key: kind for key, kind, *_ in _TABLES[command] if key != "out"}
+    kinds = {key: kind for key, kind, *_ in _TABLES[command]}
     keys = draw(st.lists(st.sampled_from(sorted(kinds)), max_size=6, unique=True))
     dim = draw(st.sampled_from(("1", "2", "0", "3"))) if "dim" in keys else "1"
     params = {}

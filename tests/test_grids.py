@@ -41,6 +41,18 @@ def test_grid_validation():
         Grid((1.0, 1.0, 1.0), (4, 4, 4))
 
 
+@pytest.mark.parametrize(
+    "extent, dim", [(1e-200, 2), (1e160, 1), (1e160, 2), (math.nan, 1)], ids=["tiny-2d", "huge-1d", "huge-2d", "nan"]
+)
+def test_grid_refuses_a_spacing_whose_square_leaves_the_doubles(extent, dim):
+    # h^2 underflowed to 0 (a ZeroDivisionError in `assemble`), overflowed (an
+    # OverflowError in the eigen factors) or is NaN; 1e-150 and 1e150 boxes still build
+    with pytest.raises(GridError, match="spacing .* out of range"):
+        Grid((extent,) * dim, (9,) * dim)
+    for ok in (1e-150, 1e150):
+        assert Grid((ok,) * dim, (9,) * dim).cell_volume > 0
+
+
 def test_grid_function_shape_check():
     g = Grid((1.0,), (5,))
     with pytest.raises(GridError):

@@ -48,7 +48,7 @@ def test_dirichlet_eigenvalues_closed_form(basis_dirichlet, grid_1d):
 
 def test_neumann_kernel_mode(basis_neumann, grid_1d):
     assert basis_neumann.eigenvalues[0] == 0.0
-    phi0 = basis_neumann.vectors[:, 0]
+    phi0 = basis_neumann.eigenfunction(0).values
     assert np.ptp(phi0) <= 1e-10
     vol = grid_1d.cell_volume * grid_1d.num_nodes
     assert phi0[0] == pytest.approx(vol**-0.5, rel=1e-10)
@@ -651,7 +651,7 @@ def test_factor_certificate_trips_when_the_matrix_leaves_the_kronecker_sum(shape
 
 def test_dense_allocations_check_available_memory(monkeypatch):
     # 12^2 Neumann, N = 144: the factored basis needs 25 blocks of 144 floats
-    # (29 KB), the dense eigh 5 N^2 (829 KB), a kernel N^2 + N nx, vectors 3 N^2
+    # (29 KB), the dense eigh 5 N^2 (829 KB), a kernel N^2 + N nx
     g = Grid((1.0, 1.0), (12, 12))
     op = assemble(g, CoefficientField.identity(g), NEUMANN)
     cross = assemble(g, _constant_cross(g), NEUMANN)
@@ -667,8 +667,6 @@ def test_dense_allocations_check_available_memory(monkeypatch):
         eigendecompose(line)  # a 1D basis is one dense 128 x 128 block
     with pytest.raises(DenseMemoryError, match="kernel matrix"):
         basis.kernel(np.ones_like)
-    with pytest.raises(DenseMemoryError, match="dense eigenvectors"):
-        basis.vectors
 
 
 @pytest.mark.parametrize("n", [9, 130, 1033])
